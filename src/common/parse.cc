@@ -5,7 +5,9 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 
 namespace declust {
 
@@ -79,6 +81,35 @@ Result<double> ParseDouble(std::string_view s, double min, double max) {
                                    std::to_string(max) + "]");
   }
   return v;
+}
+
+std::string_view Trim(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
+
+Result<double> ParseTimeMs(std::string_view s, std::string_view what,
+                           std::string_view grammar) {
+  double scale = 1000.0;  // bare numbers are seconds
+  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
+    scale = 1.0;
+    s.remove_suffix(2);
+  } else if (!s.empty() && s.back() == 's') {
+    s.remove_suffix(1);
+  }
+  // The upper bound keeps the scaled result finite as well.
+  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max() / scale);
+  if (!v.ok()) {
+    std::string msg(grammar);
+    msg.append(": bad ").append(what).append(" value ").append(Quoted(s));
+    return Status::InvalidArgument(std::move(msg));
+  }
+  return *v * scale;
 }
 
 }  // namespace declust

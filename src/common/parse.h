@@ -28,4 +28,15 @@ Result<int> ParseInt(std::string_view s, int min, int max);
 /// empty input, trailing junk, NaN/Inf, and values outside [min, max].
 Result<double> ParseDouble(std::string_view s, double min, double max);
 
+/// Strips leading and trailing spaces and tabs (the plan grammars' token
+/// separator padding).
+std::string_view Trim(std::string_view s);
+
+/// Parses a duration with an optional `ms` or `s` suffix (bare numbers are
+/// seconds) into finite, non-negative milliseconds. Errors read
+/// "<grammar>: bad <what> value '<number>'", so each plan grammar keeps its
+/// own prefix.
+Result<double> ParseTimeMs(std::string_view s, std::string_view what,
+                           std::string_view grammar);
+
 }  // namespace declust

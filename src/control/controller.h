@@ -27,7 +27,7 @@
 //
 // Everything the controller reads and writes is simulated-time state
 // mutated from calendar events, so control-armed runs stay byte-identical
-// for any --sim-threads count, like the rest of the system.
+// for any --jobs count, like the rest of the system.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 #include "src/common/parse.h"
@@ -10,34 +9,6 @@
 namespace declust::control {
 
 namespace {
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
-  if (!v.ok()) {
-    return Status::InvalidArgument("control: bad " + std::string(what) +
-                                   " value '" + std::string(s) + "'");
-  }
-  return *v * scale;
-}
 
 std::string FormatMs(double ms) {
   char buf[64];
@@ -110,7 +81,8 @@ Status ParseSloHead(std::string_view tok, SloTarget* slo) {
         std::string(q) + "'");
   }
   DECLUST_ASSIGN_OR_RETURN(slo->bound_ms,
-                           ParseTimeMs(tok.substr(lt + 1), "slo bound"));
+                           ParseTimeMs(tok.substr(lt + 1), "slo bound",
+                                       "control"));
   if (slo->bound_ms <= 0.0) {
     return Status::InvalidArgument("control: slo bound must be > 0");
   }
@@ -129,7 +101,8 @@ Status ParseSlo(std::string_view item, std::string_view body,
     std::string_view key, val;
     DECLUST_RETURN_NOT_OK(SplitKeyValue(tok, item, &seen_keys, &key, &val));
     if (key == "every") {
-      DECLUST_ASSIGN_OR_RETURN(slo->every_ms, ParseTimeMs(val, "every"));
+      DECLUST_ASSIGN_OR_RETURN(slo->every_ms,
+                               ParseTimeMs(val, "every", "control"));
       if (slo->every_ms <= 0.0) {
         return Status::InvalidArgument("control: every must be > 0");
       }
@@ -143,7 +116,7 @@ Status ParseSlo(std::string_view item, std::string_view body,
       slo->settle = *settle;
     } else if (key == "cooldown") {
       DECLUST_ASSIGN_OR_RETURN(slo->cooldown_ms,
-                               ParseTimeMs(val, "cooldown"));
+                               ParseTimeMs(val, "cooldown", "control"));
     } else if (key == "low") {
       auto low = ParseDouble(val, 0.0, 1.0);
       if (!low.ok() || *low >= 1.0) {

@@ -70,10 +70,6 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
     return invalid("repeats must be >= 1, got " +
                    std::to_string(config.repeats));
   }
-  if (config.sim_threads < 1) {
-    return invalid("sim_threads must be >= 1, got " +
-                   std::to_string(config.sim_threads));
-  }
   if (!(config.warmup_ms >= 0)) {  // also rejects NaN
     return invalid("warmup_ms must be >= 0, got " +
                    std::to_string(config.warmup_ms));

@@ -76,13 +76,6 @@ struct ExperimentConfig {
   /// rate (OpenPlan::OverrideConstantRate). Empty = a single sweep level
   /// running the plan's own (possibly time-varying) schedule.
   std::vector<double> offered_loads;
-  /// Worker threads for the windowed in-run simulation driver
-  /// (sim::ParallelScheduler). 1 = plain serial event loop. The engine's
-  /// figure-7 model couples nodes via zero-latency shared state, so a
-  /// System occupies one shard and its results are byte-identical for any
-  /// value (the differential harness checks this); values > 1 route
-  /// execution through the windowed driver and its worker pool.
-  int sim_threads = 1;
 };
 
 /// \brief One measured sweep point. All metrics are averaged across the

@@ -29,7 +29,6 @@
 #include "src/resize/plan.h"
 #include "src/sim/fault.h"
 #include "src/sim/io_budget.h"
-#include "src/sim/parallel.h"
 #include "src/workload/open.h"
 
 namespace declust::exp {
@@ -163,28 +162,7 @@ Result<RepMetrics> RunSweepPointRep(
   }
   system.Start();
 
-  // In-run windowed driver. The figure-7 engine couples its nodes through
-  // zero-latency shared state (join counters, shared metrics), so the whole
-  // System is one shard — sim_threads > 1 exercises the windowed scheduler
-  // and its worker pool without changing any event order, which is exactly
-  // the byte-identity property the differential harness pins down.
-  std::unique_ptr<sim::ParallelScheduler> windowed;
-  if (config.sim_threads > 1) {
-    sim::ParallelScheduler::Options po;
-    po.threads = config.sim_threads;
-    po.lookahead_ms = 100.0;  // windows only chunk the run; any width works
-    windowed = std::make_unique<sim::ParallelScheduler>(po);
-    windowed->AddShard(&sim);
-  }
-  const auto drive = [&](sim::SimTime t) {
-    if (windowed != nullptr) {
-      windowed->RunUntil(t);
-    } else {
-      sim.RunUntil(t);
-    }
-  };
-
-  drive(config.warmup_ms);
+  sim.RunUntil(config.warmup_ms);
   system.metrics().StartMeasurement(sim.now());
   if (coordinator != nullptr) coordinator->StartMeasurement(sim.now());
   if (migrator != nullptr) migrator->StartMeasurement(sim.now());
@@ -195,7 +173,7 @@ Result<RepMetrics> RunSweepPointRep(
         system.machine().node(n).disk().busy_ms();
     cpu_busy0 += system.machine().node(n).cpu().busy_ms();
   }
-  drive(config.warmup_ms + config.measure_ms);
+  sim.RunUntil(config.warmup_ms + config.measure_ms);
 
   double disk_busy_sum = 0, disk_busy_max = 0, cpu_busy1 = 0;
   for (int n = 0; n < physical_nodes; ++n) {
@@ -1196,16 +1174,6 @@ Result<audit::DifferentialReport> RunAuditDifferential(
   const int par = std::max(2, ThreadPool::ResolveJobs(options.jobs));
   DECLUST_RETURN_NOT_OK(run_variant(
       &report, "jobs=" + std::to_string(par) + "+audit", config, par, true));
-
-  {
-    // The windowed in-run driver (sim::ParallelScheduler, single shard) must
-    // not perturb a single event: same digest with worker threads and
-    // lookahead windows as with the plain serial loop.
-    ExperimentConfig threaded = config;
-    threaded.sim_threads = 4;
-    DECLUST_RETURN_NOT_OK(
-        run_variant(&report, "sim-threads=4", threaded, 1, true));
-  }
 
   if (config.faults.empty() && config.open.empty()) {
     // Armed-but-inactive plan: chained backups are built and the injector is

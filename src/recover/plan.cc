@@ -10,34 +10,6 @@ namespace declust::recover {
 
 namespace {
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
-  if (!v.ok()) {
-    return Status::InvalidArgument("recovery: bad " + std::string(what) +
-                                   " value '" + std::string(s) + "'");
-  }
-  return *v * scale;
-}
-
 Result<RepairEvent> ParseEvent(std::string_view item) {
   RepairEvent ev;
   const auto colon = item.find(':');
@@ -96,7 +68,7 @@ Result<RepairEvent> ParseEvent(std::string_view item) {
     }
     seen_keys.push_back(key);
     if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t"));
+      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t", "recovery"));
       have_t = true;
     } else if (key == "rate") {
       auto rate = ParseDouble(val, 0.0, 1e9);

@@ -79,7 +79,7 @@ struct ResizePhaseWindow {
 /// Confined to one Simulation/System pair (one replication), like the
 /// Auditor and the RecoveryCoordinator: parallel sweeps give each worker
 /// its own coordinator. All coroutines it spawns live on the System's
-/// simulation, so `--sim-threads` windowed runs stay byte-identical.
+/// simulation, so runs stay byte-identical for any `--jobs` count.
 class MigrationCoordinator {
  public:
   /// `plan` must outlive the coordinator, be valid for `initial_nodes`

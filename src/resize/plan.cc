@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "src/common/parse.h"
 
 namespace declust::resize {
 
 namespace {
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
-  if (!v.ok()) {
-    return Status::InvalidArgument("resize: bad " + std::string(what) +
-                                   " value '" + std::string(s) + "'");
-  }
-  return *v * scale;
-}
 
 /// `nodeA` or `nodeA-B` (inclusive, A <= B).
 Status ParseNodeRange(std::string_view target, ResizeEvent* ev) {
@@ -111,7 +82,7 @@ Result<ResizeEvent> ParseEvent(std::string_view item, std::string_view kind,
     seen_keys.push_back(key);
     const bool rebalance = ev.kind == ResizeEvent::Kind::kRebalance;
     if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t"));
+      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t", "resize"));
       have_t = true;
     } else if (key == "rate") {
       auto rate = ParseDouble(val, 0.0, 1e9);
@@ -129,7 +100,8 @@ Result<ResizeEvent> ParseEvent(std::string_view item, std::string_view kind,
       }
       ev.batch_pages = *batch;
     } else if (rebalance && key == "every") {
-      DECLUST_ASSIGN_OR_RETURN(ev.every_ms, ParseTimeMs(val, "every"));
+      DECLUST_ASSIGN_OR_RETURN(ev.every_ms,
+                               ParseTimeMs(val, "every", "resize"));
       if (ev.every_ms <= 0.0) {
         return Status::InvalidArgument("resize: every must be > 0");
       }

@@ -2,51 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string_view>
+
+#include "src/common/parse.h"
 
 namespace declust::sim {
 
 namespace {
-
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-Result<double> ParseNumber(std::string_view s, std::string_view what) {
-  const std::string buf(s);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("faults: bad " + std::string(what) +
-                                   " value '" + buf + "'");
-  }
-  return v;
-}
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  DECLUST_ASSIGN_OR_RETURN(const double v, ParseNumber(s, what));
-  if (v < 0) {
-    return Status::InvalidArgument("faults: negative time for " +
-                                   std::string(what));
-  }
-  return v * scale;
-}
 
 Result<FaultEvent> ParseEvent(std::string_view item) {
   FaultEvent ev;
@@ -81,13 +44,12 @@ Result<FaultEvent> ParseEvent(std::string_view item) {
     return Status::InvalidArgument("faults: target must be 'nodeN', got '" +
                                    std::string(target) + "'");
   }
-  DECLUST_ASSIGN_OR_RETURN(const double node,
-                           ParseNumber(target.substr(4), "node index"));
-  if (node < 0 || node != static_cast<int>(node)) {
+  auto node = ParseInt(target.substr(4), 0, 1 << 20);
+  if (!node.ok()) {
     return Status::InvalidArgument("faults: bad node index in '" +
                                    std::string(target) + "'");
   }
-  ev.node = static_cast<int>(node);
+  ev.node = *node;
 
   // Options: first must be t=TIME, then kind-specific key=value pairs.
   std::string_view opts = rest.substr(at + 1);
@@ -115,23 +77,31 @@ Result<FaultEvent> ParseEvent(std::string_view item) {
     }
     seen_keys.push_back(key);
     if (key == "t") {
-      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t"));
+      DECLUST_ASSIGN_OR_RETURN(ev.at_ms, ParseTimeMs(val, "t", "faults"));
       have_t = true;
     } else if (key == "rate" && ev.kind == FaultKind::kIoError) {
-      DECLUST_ASSIGN_OR_RETURN(ev.rate, ParseNumber(val, "rate"));
-      if (ev.rate < 0.0 || ev.rate > 1.0) {
-        return Status::InvalidArgument("faults: rate must be in [0,1]");
+      auto rate = ParseDouble(val, 0.0, 1.0);
+      if (!rate.ok()) {
+        return Status::InvalidArgument("faults: rate must be in [0,1], got '" +
+                                       std::string(val) + "'");
       }
+      ev.rate = *rate;
     } else if (key == "x" && ev.kind == FaultKind::kSlowNode) {
-      DECLUST_ASSIGN_OR_RETURN(ev.factor, ParseNumber(val, "x"));
-      if (ev.factor < 1.0) {
-        return Status::InvalidArgument("faults: slow factor must be >= 1");
+      auto factor =
+          ParseDouble(val, 1.0, std::numeric_limits<double>::max());
+      if (!factor.ok()) {
+        return Status::InvalidArgument(
+            "faults: slow factor must be >= 1, got '" + std::string(val) +
+            "'");
       }
+      ev.factor = *factor;
     } else if (key == "for" && (ev.kind == FaultKind::kIoError ||
                                 ev.kind == FaultKind::kSlowNode)) {
-      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms, ParseTimeMs(val, "for"));
+      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms,
+                               ParseTimeMs(val, "for", "faults"));
     } else if (key == "down" && ev.kind == FaultKind::kCrash) {
-      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms, ParseTimeMs(val, "down"));
+      DECLUST_ASSIGN_OR_RETURN(ev.duration_ms,
+                               ParseTimeMs(val, "down", "faults"));
     } else {
       return Status::InvalidArgument("faults: unknown option '" +
                                      std::string(key) + "' for kind '" +

@@ -11,7 +11,7 @@
 //
 // Purely simulated-time state (no wall clock, no randomness): reservations
 // happen in calendar order, so budgeted runs stay byte-identical for any
-// --sim-threads count, the same discipline as the rest of src/sim.
+// --jobs count, the same discipline as the rest of src/sim.
 #pragma once
 
 #include <cstddef>

@@ -222,14 +222,6 @@ Simulation::Bucket* Simulation::PopEarliestBucket() {
   return top.bucket;
 }
 
-SimTime Simulation::NextEventTime() const {
-  if (current_ != nullptr && current_->cursor < current_->entries.size()) {
-    return current_->time;
-  }
-  if (!heap_.empty()) return heap_[0].time;
-  return std::numeric_limits<SimTime>::infinity();
-}
-
 bool Simulation::Step(SimTime horizon) {
   for (;;) {
     if (current_ == nullptr || current_->cursor == current_->entries.size()) {

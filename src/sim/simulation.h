@@ -182,8 +182,7 @@ class AuditHook {
 ///
 /// Events scheduled for the same instant fire in scheduling order (FIFO),
 /// which makes runs reproducible. A Simulation is confined to one thread;
-/// parallel sweeps give each worker its own instance (src/exp/runner) and
-/// windowed parallel runs give each shard its own (src/sim/parallel).
+/// parallel sweeps give each worker its own instance (src/exp/runner).
 class Simulation {
  public:
   Simulation() = default;
@@ -218,26 +217,6 @@ class Simulation {
   EventId ScheduleAfter(SimTime delay, Fn&& fn) {
     return ScheduleAt(now_ + delay, std::forward<Fn>(fn));
   }
-
-  /// Schedules an already type-erased callable, moving it straight into the
-  /// event slot. Used by the parallel scheduler's barrier merge: re-wrapping
-  /// a SmallFn in another SmallFn would overflow the inline buffer and fall
-  /// back to the heap.
-  EventId ScheduleAt(SimTime at, detail::SmallFn fn) {
-    assert(at >= now_);
-    const uint32_t slot = AllocSlot();
-    EventSlot& s = slots_[slot];
-    s.fn = std::move(fn);
-    s.pending = true;
-    AddEntry(at, Entry{slot, s.gen});
-    return MakeId(s.gen, slot);
-  }
-
-  /// Absolute time of the earliest pending event, or +infinity for an empty
-  /// calendar. Cancelled-but-undiscarded entries may make this earlier than
-  /// the first live event (conservative), never later. The parallel
-  /// scheduler uses it to skip windows in which nothing can fire.
-  SimTime NextEventTime() const;
 
   /// Schedules resumption of a suspended coroutine at absolute time `at`.
   /// Resumes are not cancellable: the fast path stores the bare handle and

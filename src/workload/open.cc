@@ -10,34 +10,6 @@ namespace declust::workload {
 
 namespace {
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-/// A duration with an optional `ms` or `s` suffix (default seconds),
-/// converted to milliseconds.
-Result<double> ParseTimeMs(std::string_view s, std::string_view what) {
-  double scale = 1000.0;  // bare numbers are seconds
-  if (s.size() >= 2 && s.substr(s.size() - 2) == "ms") {
-    scale = 1.0;
-    s.remove_suffix(2);
-  } else if (!s.empty() && s.back() == 's') {
-    s.remove_suffix(1);
-  }
-  auto v = ParseDouble(s, 0.0, std::numeric_limits<double>::max());
-  if (!v.ok()) {
-    return Status::InvalidArgument("open: bad " + std::string(what) +
-                                   " value '" + std::string(s) + "'");
-  }
-  return *v * scale;
-}
-
 /// Splits `body` at '@' and parses the mandatory-or-defaulted `t=T` suffix.
 /// When `require_at` is false a missing '@' means t=0.
 Result<double> ParseAtTime(std::string_view item, std::string_view tail,
@@ -48,7 +20,7 @@ Result<double> ParseAtTime(std::string_view item, std::string_view tail,
     return Status::InvalidArgument("open: expected 't=TIME' after '@' in '" +
                                    std::string(item) + "'");
   }
-  return ParseTimeMs(Trim(tail.substr(eq + 1)), "t");
+  return ParseTimeMs(Trim(tail.substr(eq + 1)), "t", "open");
 }
 
 std::string FormatMs(double ms) {

@@ -75,6 +75,30 @@ TEST(ParseDoubleTest, EnforcesCallerRange) {
   EXPECT_TRUE(ParseDouble("1", 0, 1).ok());
 }
 
+TEST(ParseTimeMsTest, SuffixSelectsTheUnit) {
+  EXPECT_DOUBLE_EQ(*ParseTimeMs("5", "t", "g"), 5000.0);  // bare = seconds
+  EXPECT_DOUBLE_EQ(*ParseTimeMs("5s", "t", "g"), 5000.0);
+  EXPECT_DOUBLE_EQ(*ParseTimeMs("250ms", "t", "g"), 250.0);
+  EXPECT_DOUBLE_EQ(*ParseTimeMs("1.5s", "t", "g"), 1500.0);
+  EXPECT_DOUBLE_EQ(*ParseTimeMs("0ms", "t", "g"), 0.0);
+}
+
+TEST(ParseTimeMsTest, RejectsGarbageNegativeAndNonFinite) {
+  // "1e306" seconds is a finite double but not a finite millisecond count.
+  for (const char* bad : {"", "s", "ms", "5q", "5 s", "-1s", "-0.5ms", "nan",
+                          "inf", "infs", "1e400", "1e400ms", "1e306"}) {
+    const auto r = ParseTimeMs(bad, "t", "faults");
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << "'" << bad << "'";
+  }
+  EXPECT_TRUE(ParseTimeMs("1e306ms", "t", "faults").ok());
+  // Each grammar keeps its own error prefix.
+  EXPECT_EQ(ParseTimeMs("nan", "t", "faults").status().message(),
+            "faults: bad t value 'nan'");
+  EXPECT_EQ(ParseTimeMs("xs", "every", "resize").status().message(),
+            "resize: bad every value 'x'");
+}
+
 // DECLUST_JOBS=abc used to atoi to 0 and silently run serial; it must now
 // terminate with exit code 2 and a usage message.
 TEST(ParseDeathTest, MalformedDeclustJobsExits2) {

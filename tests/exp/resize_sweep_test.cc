@@ -1,7 +1,7 @@
 // Sweep-level elastic-membership coverage: --resize config validation, the
 // per-phase CSV columns, format compatibility of static-membership runs,
 // and the differential determinism gates — byte-identical CSV across job
-// counts, across --sim-threads, and across repeated runs of the same seed.
+// counts and across repeated runs of the same seed.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -123,20 +123,6 @@ TEST(ResizeSweepTest, ResizeColumnsAreIdenticalAcrossJobCounts) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(CsvOf(*a), CsvOf(*b));
-}
-
-TEST(ResizeSweepTest, ResizeColumnsAreIdenticalUnderWindowedSimThreads) {
-  RunnerOptions opts;
-  opts.jobs = 1;
-  auto serial = RunThroughputSweep(ResizeConfig(), opts);
-  ExperimentConfig threaded_cfg = ResizeConfig();
-  threaded_cfg.sim_threads = 4;
-  auto threaded = RunThroughputSweep(threaded_cfg, opts);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
-  // PrintCsv emits measured rows only (no runner options), so the windowed
-  // scheduler must reproduce the serial run byte for byte.
-  EXPECT_EQ(CsvOf(*serial), CsvOf(*threaded));
 }
 
 TEST(ResizeSweepTest, RepeatedRunsAreByteIdentical) {

@@ -134,11 +134,15 @@ TEST(FaultPlanPropertyTest, GarbageSpecsAreRejected) {
            "io:node0@t=0,rate=2",      // rate outside [0, 1]
            "io:node0@t=0,rate=-0.1",   // rate outside [0, 1]
            "disk:node0@t=-5s",         // negative time
+           "disk:node1@t=nan",         // non-finite time: would never fire
+           "disk:node1@t=inf",         // non-finite time
+           "disk:node1@t=1e400",       // overflows to inf
            "slow:node0@t=0,x=0.5",     // slow factor < 1
            "disk:node0@t=0,down=5",    // option of the wrong kind
        }) {
     auto p = FaultPlan::Parse(bad);
-    EXPECT_FALSE(p.ok()) << bad;
+    ASSERT_FALSE(p.ok()) << bad;
+    EXPECT_TRUE(p.status().IsInvalidArgument()) << bad;
   }
 }
 

@@ -33,21 +33,6 @@ static_assert(SmallFn::FitsInline<
                   decltype([h = std::coroutine_handle<>{}] { h.resume(); })>(),
               "coroutine resume thunks must take the SBO path");
 
-// The parallel scheduler's cross-shard messages capture a shard index, a
-// timestamp, and a couple of pointers; give headroom for that shape.
-struct CrossShardShape {
-  void* a;
-  void* b;
-  double at;
-  int src;
-  int dst;
-  uint64_t seq;
-};
-static_assert(SmallFn::FitsInline<decltype([s = CrossShardShape{}] {
-                (void)s;
-              })>(),
-              "a two-pointer + time + ids capture must take the SBO path");
-
 // Four pointers plus a double — the largest capture set in the tree today
 // (engine completion paths). 4*8 + 8 = 40 bytes <= 64.
 static_assert(SmallFn::FitsInline<decltype([a = (void*)nullptr,

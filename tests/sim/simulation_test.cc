@@ -63,6 +63,11 @@ TEST(SimulationTest, RunUntilStopsAtHorizon) {
   s.RunUntil(2.0);
   EXPECT_EQ(count, 2);
   EXPECT_EQ(s.now(), 2.0);
+  // A second horizon past the last event fires it, then crosses the empty
+  // stretch behind it and lands the clock on the horizon itself.
+  s.RunUntil(10.0);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(s.now(), 10.0);
   s.Run();
   EXPECT_EQ(count, 3);
 }

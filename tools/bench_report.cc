@@ -404,35 +404,6 @@ int main(int argc, char** argv) {
       open_shed += p.shed;
     }
   }
-  exp::ExperimentConfig open_psim_cfg = open_cfg;
-  open_psim_cfg.sim_threads = hw_threads >= 2 ? std::min(4, hw_threads) : 2;
-  auto open_windowed =
-      exp::RunThroughputSweep(open_psim_cfg, exp::RunnerOptions{1});
-  if (!open_windowed.ok()) {
-    std::cerr << "open sim-threads sweep failed: "
-              << open_windowed.status().ToString() << "\n";
-    return 1;
-  }
-
-  // In-run parallelism guard: the same sweep executed serially (jobs=1) but
-  // with the windowed parallel scheduler splitting each run across
-  // --sim-threads workers. Must be byte-identical to the plain serial run —
-  // that digest is the whole point of the conservative-window design.
-  const int sim_threads =
-      hw_threads >= 2 ? std::min(4, hw_threads) : 2;
-  std::cerr << "timing quick fig08 sweep with --sim-threads=" << sim_threads
-            << "...\n";
-  exp::ExperimentConfig psim_cfg = cfg;
-  psim_cfg.sim_threads = sim_threads;
-  const auto w0 = Clock::now();
-  auto windowed = exp::RunThroughputSweep(psim_cfg, exp::RunnerOptions{1});
-  const auto w1 = Clock::now();
-  if (!windowed.ok()) {
-    std::cerr << "sim-threads sweep failed: " << windowed.status().ToString()
-              << "\n";
-    return 1;
-  }
-  const double windowed_s = Seconds(w0, w1);
 
   // Setup-scale curve: catalog build time and process peak RSS at 32, 256
   // and 1,024 nodes over a 1M-tuple relation. Tracks the two-pass build's
@@ -450,17 +421,12 @@ int main(int argc, char** argv) {
     setup_identical = setup_identical && setup_points.back().identical_extents;
   }
 
-  std::ostringstream a, b, c, d, e, f;
+  std::ostringstream a, b, c;
   exp::PrintCsv(a, *serial);
   exp::PrintCsv(b, *parallel);
   exp::PrintCsv(c, *audited);
-  exp::PrintCsv(d, *windowed);
-  exp::PrintCsv(e, *open_run);
-  exp::PrintCsv(f, *open_windowed);
   const bool identical = a.str() == b.str();
   const bool audit_identical = a.str() == c.str();
-  const bool psim_identical = a.str() == d.str();
-  const bool open_identical = e.str() == f.str();
   const bool audit_clean =
       audited->audit_violations == 0 && audited->oracle_mismatches == 0;
 
@@ -483,17 +449,6 @@ int main(int argc, char** argv) {
       << ",\n"
       << "    \"identical_results\": " << (identical ? "true" : "false")
       << "\n"
-      << "  },\n"
-      << "  \"parallel_sim\": {\n"
-      << "    \"config\": \"fig08 quick, jobs=1, windowed in-run "
-         "scheduler\",\n"
-      << "    \"sim_threads\": " << sim_threads << ",\n"
-      << "    \"serial_wall_s\": " << serial_s << ",\n"
-      << "    \"threaded_wall_s\": " << windowed_s << ",\n"
-      << "    \"threaded_over_serial_ratio\": "
-      << (serial_s > 0 ? windowed_s / serial_s : 0) << ",\n"
-      << "    \"identical_results\": "
-      << (psim_identical ? "true" : "false") << "\n"
       << "  },\n"
       << "  \"fault_path\": {\n"
       << "    \"config\": \"fig08 quick, inactive plan disk:node0@t=3600s\",\n"
@@ -546,9 +501,7 @@ int main(int argc, char** argv) {
       << "    \"open_over_closed_ratio\": "
       << (serial_s > 0 ? open_s / serial_s : 0) << ",\n"
       << "    \"arrivals\": " << open_arrivals << ",\n"
-      << "    \"shed\": " << open_shed << ",\n"
-      << "    \"identical_results\": "
-      << (open_identical ? "true" : "false") << "\n"
+      << "    \"shed\": " << open_shed << "\n"
       << "  },\n"
       << "  \"audit_overhead\": {\n"
       << "    \"config\": \"fig08 quick, invariant audit + oracle armed\",\n"
@@ -588,9 +541,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "wrote " << out_path << "\n";
-  return identical && audit_identical && audit_clean && psim_identical &&
-                 resize_quiescent && control_quiescent && control_fast &&
-                 open_identical && setup_identical
+  return identical && audit_identical && audit_clean && resize_quiescent &&
+                 control_quiescent && control_fast && setup_identical
              ? 0
              : 1;
 }

@@ -7,10 +7,11 @@
 # exercise coroutine lifetimes, signal-driven interrupts and background I/O
 # racing foreground queries — the bugs sanitizers exist to catch.
 #
-# A third pass builds under ThreadSanitizer and runs the parallel_sim label
-# (the time-windowed in-run scheduler), then a Release build runs a
-# differential smoke: the same quick sweep serially and with --sim-threads=4
-# must produce byte-identical CSV output.
+# A third pass builds under ThreadSanitizer and runs the resize, open and
+# control labels, whose *AcrossJobCounts tests drive the --jobs worker pool
+# (the only multi-threaded run path). A Release build of every target then
+# runs a differential smoke: the same quick sweeps serially and with
+# --jobs 4 must produce byte-identical output.
 #
 #   tools/ci_check.sh [--jobs N] [--fresh]
 #
@@ -29,7 +30,7 @@ while [[ $# -gt 0 ]]; do
     --jobs=*) JOBS="${1#*=}"; shift ;;
     --fresh) FRESH=1; shift ;;
     -h|--help)
-      sed -n '2,12p' "$0"; exit 0 ;;
+      sed -n '2,20p' "$0"; exit 0 ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
 done
@@ -64,105 +65,68 @@ run_preset asan DECLUST_ASAN 'faults|audit|recovery|resize|open|control|scale' \
   scale_test
 run_preset ubsan DECLUST_UBSAN 'faults|audit|recovery|resize|open|control' \
   fault_test audit_test recovery_test resize_test open_test control_test
-# The windowed in-run scheduler is the only place the simulator runs on more
-# than one thread; TSAN over the parallel_sim label is the race gate for it
-# (the open/control sweep tests ride along: they run the windowed scheduler
-# under an arrival-driven load with the feedback controller actuating
-# migrations mid-run).
-run_preset tsan DECLUST_TSAN 'parallel_sim|resize|open|control' \
-  parallel_sim_test resize_test open_test control_test
+# The --jobs worker pool is the only place the simulator runs on more than
+# one thread; TSAN over the resize/open/control labels is the race gate for
+# it (their *AcrossJobCounts tests run concurrent replications with the
+# migration, arrival and feedback-control machinery armed).
+run_preset tsan DECLUST_TSAN 'resize|open|control' \
+  resize_test open_test control_test
 
-# Release differential smoke: serial vs --sim-threads=4 on a quick sweep must
-# be byte-identical. Release mode matters here — it is the configuration where
-# reordering or racy reads would actually surface as digest drift.
+# Release differential smoke: serial vs --jobs 4 on a quick sweep must be
+# byte-identical. Release mode matters here — it is the configuration where
+# reordering or racy reads would actually surface as digest drift. The tree
+# builds every target, so a Release-only warning (-Werror) fails here too.
 echo "=== relsmoke: configure + build (build-relsmoke) ==="
 SMOKE_DIR="$ROOT/build-relsmoke"
 if [[ "$FRESH" == 1 ]]; then rm -rf "$SMOKE_DIR"; fi
-cmake -S "$ROOT" -B "$SMOKE_DIR" \
-  -DCMAKE_BUILD_TYPE=Release \
-  -DDECLUST_BUILD_BENCHMARKS=OFF \
-  -DDECLUST_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build "$SMOKE_DIR" -j"$JOBS" --target run_experiment audit_sweep \
-  scale_test
+cmake -S "$ROOT" -B "$SMOKE_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$SMOKE_DIR" -j"$JOBS"
 SMOKE_ARGS=(--strategies range,hash --mpls 4 --repeats 1 --cardinality 20000
             --processors 8 --warmup 500 --measure 2000)
-echo "=== relsmoke: serial vs --sim-threads=4 digest ==="
-SERIAL_OUT="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}")"
-THREADED_OUT="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --sim-threads 4)"
-if [[ "$SERIAL_OUT" == "$THREADED_OUT" ]]; then
-  echo "relsmoke: serial and --sim-threads=4 results are byte-identical"
-else
-  echo "*** relsmoke: FAILED — --sim-threads=4 changed the results" >&2
-  diff <(printf '%s\n' "$SERIAL_OUT") <(printf '%s\n' "$THREADED_OUT") \
-    | head -40 >&2 || true
-  FAILED=1
-fi
-# Elastic-membership differential: the same quick sweep with a live resize
-# plan (node added mid-measurement, then drained back out) must also be
-# byte-identical serial vs --sim-threads=4 — migration scheduling is the
-# newest multi-coroutine machinery and the most likely to order-drift.
-echo "=== relsmoke: --resize serial vs --sim-threads=4 digest ==="
-RESIZE_SPEC='add:node8@t=1s;remove:node8@t=2s'
-RESIZE_SERIAL="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --resize "$RESIZE_SPEC")"
-RESIZE_THREADED="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --resize "$RESIZE_SPEC" --sim-threads 4)"
-if [[ "$RESIZE_SERIAL" == "$RESIZE_THREADED" ]]; then
-  echo "relsmoke: --resize serial and --sim-threads=4 results are" \
-    "byte-identical"
-else
-  echo "*** relsmoke: FAILED — --resize --sim-threads=4 changed results" >&2
-  diff <(printf '%s\n' "$RESIZE_SERIAL") \
-    <(printf '%s\n' "$RESIZE_THREADED") | head -40 >&2 || true
-  FAILED=1
-fi
-# Open-system differential: the same quick sweep driven by Poisson arrivals
-# (two offered-load levels, Zipf skew, a second relation, a finite admission
-# cap) must be byte-identical serial vs --sim-threads=4 — the arrival loop
-# and the terminals share the windowed scheduler, and shed accounting must
-# not depend on event interleaving.
-echo "=== relsmoke: --open serial vs --sim-threads=4 digest ==="
+
+# jobs_diff LABEL [ARGS...]: the quick sweep plus ARGS, run with --jobs 1
+# and with --jobs 4, must print byte-identical results.
+jobs_diff() {
+  local label="$1"
+  shift
+  echo "=== relsmoke: $label serial vs --jobs 4 digest ==="
+  local serial parallel
+  serial="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" "$@" \
+    --jobs 1)"
+  parallel="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" "$@" \
+    --jobs 4)"
+  if [[ "$serial" == "$parallel" ]]; then
+    echo "relsmoke: $label serial and --jobs 4 results are byte-identical"
+  else
+    echo "*** relsmoke: FAILED — $label --jobs 4 changed the results" >&2
+    diff <(printf '%s\n' "$serial") <(printf '%s\n' "$parallel") \
+      | head -40 >&2 || true
+    FAILED=1
+  fi
+}
+
+jobs_diff closed
+# Elastic membership: a node added mid-measurement, then drained back out —
+# migration scheduling is the most multi-coroutine machinery in a run.
+jobs_diff --resize --resize 'add:node8@t=1s;remove:node8@t=2s'
+# Open system: Poisson arrivals at two offered-load levels, Zipf skew, a
+# second relation and a finite admission cap; shed accounting must not
+# depend on which worker ran a replication.
 OPEN_SPEC='rate:150;zipf:0.8;relation:card=5000,weight=1;cap:64'
-OPEN_SERIAL="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --open "$OPEN_SPEC" --offered 60,120)"
-OPEN_THREADED="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --open "$OPEN_SPEC" --offered 60,120 --sim-threads 4)"
-if [[ "$OPEN_SERIAL" == "$OPEN_THREADED" ]]; then
-  echo "relsmoke: --open serial and --sim-threads=4 results are" \
-    "byte-identical"
-else
-  echo "*** relsmoke: FAILED — --open --sim-threads=4 changed results" >&2
-  diff <(printf '%s\n' "$OPEN_SERIAL") \
-    <(printf '%s\n' "$OPEN_THREADED") | head -40 >&2 || true
-  FAILED=1
-fi
-# Control-plane differential: the closed-loop controller (SLO windows,
-# elastic membership actions, budgeted concurrent migrations, admission
-# degradation) mutates shared state from calendar events mid-run; serial vs
-# --sim-threads=4 must replay its every decision byte-identically.
-echo "=== relsmoke: --control serial vs --sim-threads=4 digest ==="
+jobs_diff --open --open "$OPEN_SPEC" --offered 60,120
+# Control plane: SLO windows, elastic membership actions, budgeted
+# concurrent migrations and admission degradation, all mutating shared
+# state from calendar events mid-run.
 CONTROL_SPEC='slo:p95<40ms,every=250ms,settle=2;scale:min=4,max=10;budget:frac=0.3;degrade:floor=8'
-CONTROL_SERIAL="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --open "$OPEN_SPEC" --offered 120 --control "$CONTROL_SPEC")"
-CONTROL_THREADED="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" \
-  --open "$OPEN_SPEC" --offered 120 --control "$CONTROL_SPEC" \
-  --sim-threads 4)"
-if [[ "$CONTROL_SERIAL" == "$CONTROL_THREADED" ]]; then
-  echo "relsmoke: --control serial and --sim-threads=4 results are" \
-    "byte-identical"
-else
-  echo "*** relsmoke: FAILED — --control --sim-threads=4 changed results" >&2
-  diff <(printf '%s\n' "$CONTROL_SERIAL") \
-    <(printf '%s\n' "$CONTROL_THREADED") | head -40 >&2 || true
-  FAILED=1
-fi
+jobs_diff --control --open "$OPEN_SPEC" --offered 120 \
+  --control "$CONTROL_SPEC"
 # Parallel-catalog-build differential: the same quick sweep with the
 # two-pass build fanned out over 8 threads (DECLUST_JOBS drives the
 # tree-construction pass) must be byte-identical to the serial build —
 # extent allocation is serial by design, so any drift here is a bug in the
 # build split, not timing noise.
 echo "=== relsmoke: DECLUST_JOBS=8 catalog build digest ==="
+SERIAL_OUT="$("$SMOKE_DIR/tools/run_experiment" "${SMOKE_ARGS[@]}" --jobs 1)"
 JOBS8_OUT="$(DECLUST_JOBS=8 "$SMOKE_DIR/tools/run_experiment" \
   "${SMOKE_ARGS[@]}")"
 if [[ "$SERIAL_OUT" == "$JOBS8_OUT" ]]; then
@@ -182,9 +146,9 @@ if ! ctest --test-dir "$SMOKE_DIR" -L scale --output-on-failure; then
   FAILED=1
 fi
 # audit_sweep's differential harness runs the same config through every
-# variant (jobs=1, jobs=N+audit, sim-threads=4, inactive fault plan) and
-# compares result digests — the invariant-level form of the check above.
-echo "=== relsmoke: audit_sweep differential (includes sim-threads=4) ==="
+# variant (jobs=1, jobs=1+audit, jobs=N+audit, inactive fault plan) and
+# compares result digests — the invariant-level form of the checks above.
+echo "=== relsmoke: audit_sweep differential ==="
 if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}"; then
   echo "*** relsmoke: audit_sweep differential FAILED" >&2
   FAILED=1
@@ -195,5 +159,5 @@ if [[ "$FAILED" != 0 ]]; then
   exit 1
 fi
 echo "ci_check: faults|audit|recovery|resize|open|control|scale clean under" \
-  "ASAN/UBSAN, parallel_sim|open|control clean under TSAN, release digest" \
-  "stable"
+  "ASAN/UBSAN, resize|open|control clean under TSAN, release digest" \
+  "stable across --jobs"

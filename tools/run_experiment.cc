@@ -47,10 +47,6 @@ void Usage() {
       "  --jobs N           worker threads for the sweep (default: the\n"
       "                     DECLUST_JOBS env var, else 1); results are\n"
       "                     byte-identical for any N\n"
-      "  --sim-threads N    worker threads for the windowed in-run DES\n"
-      "                     driver (default: the DECLUST_SIM_THREADS env\n"
-      "                     var, else 1 = plain serial event loop); results\n"
-      "                     are byte-identical for any N\n"
       "  --faults SPEC      fault-injection plan, ';'-separated events:\n"
       "                     disk:nodeN@t=T | io:nodeN@t=T,rate=R,for=D |\n"
       "                     slow:nodeN@t=T,x=F,for=D | crash:nodeN@t=T,down=D\n"
@@ -263,8 +259,6 @@ int main(int argc, char** argv) {
           "--seed", next(), 0, std::numeric_limits<int64_t>::max()));
     } else if (arg == "--jobs") {
       runner_opts.jobs = RequireInt("--jobs", next(), 0, 1 << 20);
-    } else if (arg == "--sim-threads") {
-      cfg.sim_threads = RequireInt("--sim-threads", next(), 1, 1 << 10);
     } else if (arg == "--faults") {
       cfg.faults = next();
       // Validate the spec up front so a typo fails fast with a parse
@@ -348,18 +342,6 @@ int main(int argc, char** argv) {
   // The runner re-validates, but failing here exits 2 like every other
   // malformed input instead of surfacing as a failed experiment.
   {
-    // --sim-threads default: the DECLUST_SIM_THREADS environment variable
-    // (absent or malformed -> 1, the plain serial loop).
-    if (cfg.sim_threads == 1) {
-      if (const char* env = std::getenv("DECLUST_SIM_THREADS")) {
-        char* end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 1 && v <= (1 << 10)) {
-          cfg.sim_threads = static_cast<int>(v);
-        }
-      }
-    }
-
     exp::ExperimentConfig check = cfg;
     if (degraded >= 0) check.faults.clear();  // degraded ignores --faults
     const Status st = exp::ValidateExperimentConfig(check);
