@@ -7,15 +7,15 @@ namespace declust::audit {
 
 std::vector<std::string> DifferentialReport::Mismatches() const {
   std::vector<std::string> out;
-  if (variants.empty()) return out;
-  const VariantDigest& base = variants.front();
   for (size_t i = 1; i < variants.size(); ++i) {
-    if (variants[i].digest == base.digest) continue;
+    const size_t ref = variants[i].reference;
+    if (ref == i || variants[i].digest == variants[ref].digest) continue;
     char buf[192];
     std::snprintf(buf, sizeof(buf),
-                  "%s: digest %016" PRIx64 " != %s baseline %016" PRIx64,
+                  "%s: digest %016" PRIx64 " != %s %s %016" PRIx64,
                   variants[i].label.c_str(), variants[i].digest,
-                  base.label.c_str(), base.digest);
+                  variants[ref].label.c_str(),
+                  ref == 0 ? "baseline" : "reference", variants[ref].digest);
     out.emplace_back(buf);
   }
   return out;
@@ -26,12 +26,12 @@ std::string DifferentialReport::Summary() const {
   char buf[160];
   if (bad == 0) {
     std::snprintf(buf, sizeof(buf),
-                  "differential %s: %zu variants, all digests equal",
+                  "differential %s: %zu variants, all digests match",
                   point.c_str(), variants.size());
   } else {
     std::snprintf(buf, sizeof(buf),
-                  "differential %s: %zu of %zu variants diverge from the "
-                  "baseline",
+                  "differential %s: %zu of %zu variants diverge from their "
+                  "reference",
                   point.c_str(), bad, variants.size());
   }
   return std::string(buf);

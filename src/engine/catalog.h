@@ -84,9 +84,11 @@ struct AccessPlan {
   }
 };
 
-/// rief Reusable scratch for plan construction. Plan building is
-/// synchronous (no co_await inside), so one scratch per catalog suffices:
-/// each call finishes with the scratch before returning.
+/// \brief Reusable scratch for plan construction, owned by the caller so a
+/// catalog stays immutable after Build and concurrent replications can
+/// read one catalog. Plan building is synchronous (no co_await inside), so
+/// one scratch per System suffices: each call finishes with the scratch
+/// before returning.
 struct PlanScratch {
   std::vector<storage::BTreeEntry> entries;
   std::vector<int64_t> pages;
@@ -280,6 +282,14 @@ class SystemCatalog {
       const PlacementSpec* placement = nullptr,
       SystemCatalog* share_disks_with = nullptr);
 
+  /// Deep copy for a replication that mutates placement (migration): fresh
+  /// fragment stores, disk layouts (allocation cursors included) and
+  /// placement tables, sharing the immutable index trees. A catalog built
+  /// on another's disks needs `share_disks_with`: the clone of that disk
+  /// owner, whose layouts the copy then allocates on.
+  std::unique_ptr<SystemCatalog> Clone(
+      SystemCatalog* share_disks_with = nullptr) const;
+
   /// Physical machine size (disk layouts). Equals num_slices() without a
   /// placement.
   int num_nodes() const { return static_cast<int>(layout_refs_.size()); }
@@ -302,15 +312,18 @@ class SystemCatalog {
   Result<AccessPlan> PlanAccess(int node, const Predicate& q,
                                 bool sequential_scan = false) const {
     AccessPlan plan;
-    DECLUST_RETURN_NOT_OK(PlanAccessInto(node, q, sequential_scan, &plan));
+    PlanScratch scratch;
+    DECLUST_RETURN_NOT_OK(
+        PlanAccessInto(node, q, sequential_scan, &scratch, &plan));
     return plan;
   }
 
   /// Fill-in-place variant of PlanAccess: clears and rebuilds `out`,
-  /// retaining its capacity. The engine passes pooled plans here so
-  /// steady-state planning is heap-silent.
+  /// retaining its capacity (and `scratch`'s). The engine passes pooled
+  /// plans here so steady-state planning is heap-silent.
   [[nodiscard]] Status PlanAccessInto(int node, const Predicate& q,
                                       bool sequential_scan,
+                                      PlanScratch* scratch,
                                       AccessPlan* out) const;
 
   /// Access plan for a BERD auxiliary lookup at `node` (empty plan for
@@ -347,8 +360,10 @@ class SystemCatalog {
   Result<AccessPlan> PlanBackupAccess(int failed_node, const Predicate& q,
                                       bool sequential_scan = false) const {
     AccessPlan plan;
-    DECLUST_RETURN_NOT_OK(
-        PlanBackupAccessInto(failed_node, q, sequential_scan, &plan));
+    PlanScratch scratch;
+    DECLUST_RETURN_NOT_OK(PlanBackupAccessInto(failed_node, q,
+                                               sequential_scan, &scratch,
+                                               &plan));
     return plan;
   }
 
@@ -356,6 +371,7 @@ class SystemCatalog {
   [[nodiscard]] Status PlanBackupAccessInto(int failed_node,
                                             const Predicate& q,
                                             bool sequential_scan,
+                                            PlanScratch* scratch,
                                             AccessPlan* out) const;
 
   /// BERD auxiliary lookup against the backup copy of `failed_node`'s aux
@@ -435,10 +451,21 @@ class SystemCatalog {
   std::vector<int> owner_;
   std::vector<int> backup_owner_;
   CatalogOptions opts_;
-  // Plan-construction scratch. Safe as a single mutable member: plan
-  // building never suspends, and one Simulation (hence one catalog) is
-  // driven by one thread at a time.
-  mutable PlanScratch scratch_;
+};
+
+/// \brief The catalogs one System reads: the base relation's and, for
+/// multi-relation open runs, one per extra relation allocated on the base
+/// catalog's disks (extras[i] serves QueryInstance::relation == i + 1).
+/// Immutable once built, so every replication of one strategy in a sweep
+/// can share one set; a replication that migrates fragments takes a
+/// Clone().
+struct CatalogSet {
+  std::unique_ptr<SystemCatalog> base;
+  std::vector<std::unique_ptr<SystemCatalog>> extras;
+
+  /// Deep copy: the base is cloned, and every extra is cloned onto the
+  /// base clone's disks.
+  std::unique_ptr<CatalogSet> Clone() const;
 };
 
 }  // namespace declust::engine

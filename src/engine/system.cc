@@ -10,6 +10,49 @@
 
 namespace declust::engine {
 
+Result<std::unique_ptr<CatalogSet>> BuildCatalogSet(
+    const SystemConfig& config, const storage::Relation* relation,
+    const decluster::Partitioning* partitioning) {
+  // Chained declustering is required to survive a permanent disk loss; arm
+  // it whenever a fault plan is present (a single-node machine has nowhere
+  // to put a backup).
+  CatalogOptions opts = config.catalog;
+  if (config.fault_plan != nullptr && !config.fault_plan->empty() &&
+      config.hw.num_processors > 1) {
+    opts.chained_backups = true;
+  }
+  // Under an elastic plan the catalog is built on the coordinator's initial
+  // placement (slices striped over the initial members); the physical
+  // machine is sized for the largest membership the plan reaches, which the
+  // caller already wrote into hw.num_processors.
+  PlacementSpec placement;
+  const PlacementSpec* placement_ptr = nullptr;
+  if (config.resize != nullptr) {
+    placement = config.resize->InitialPlacement();
+    placement_ptr = &placement;
+  }
+  auto set = std::make_unique<CatalogSet>();
+  DECLUST_ASSIGN_OR_RETURN(
+      set->base,
+      SystemCatalog::Build(relation, partitioning, config.attr_a,
+                           config.attr_b, config.hw, opts, placement_ptr));
+  // Extra relations (open multi-relation runs) get catalogs allocated on
+  // the SAME disks as the base relation's, so their queries contend for
+  // the same spindles.
+  for (const auto& er : config.extra_relations) {
+    if (er.relation == nullptr || er.partitioning == nullptr) {
+      return Status::InvalidArgument("null extra relation or partitioning");
+    }
+    DECLUST_ASSIGN_OR_RETURN(
+        auto extra,
+        SystemCatalog::Build(er.relation, er.partitioning, config.attr_a,
+                             config.attr_b, config.hw, opts,
+                             /*placement=*/nullptr, set->base.get()));
+    set->extras.push_back(std::move(extra));
+  }
+  return set;
+}
+
 System::System(sim::Simulation* sim, SystemConfig config,
                const storage::Relation* relation,
                const decluster::Partitioning* partitioning,
@@ -42,49 +85,34 @@ Status System::Init() {
       sim_, machine_params, RandomStream(config_.seed), config_.fault_plan,
       config_.seed, config_.probe);
 
-  // Chained declustering is required to survive a permanent disk loss; arm
-  // it whenever a fault plan is present (a single-node machine has nowhere
-  // to put a backup).
-  CatalogOptions catalog_opts = config_.catalog;
-  if (faults_armed && config_.hw.num_processors > 1) {
-    catalog_opts.chained_backups = true;
+  // A shared set is read as is unless this System migrates fragments;
+  // then it works on a private clone, so its epoch flips never reach the
+  // other replications reading the set.
+  std::unique_ptr<CatalogSet> owned;
+  if (config_.catalogs == nullptr) {
+    DECLUST_ASSIGN_OR_RETURN(
+        owned, BuildCatalogSet(config_, relation_, partitioning_));
+  } else if (config_.resize != nullptr) {
+    owned = config_.catalogs->Clone();
   }
-  // Under an elastic plan the catalog is built on the coordinator's initial
-  // placement (slices striped over the initial members); the physical
-  // machine is sized for the largest membership the plan reaches, which the
-  // caller already wrote into hw.num_processors.
-  PlacementSpec placement;
-  const PlacementSpec* placement_ptr = nullptr;
-  if (config_.resize != nullptr) {
-    placement = config_.resize->InitialPlacement();
-    placement_ptr = &placement;
+  if (owned != nullptr) {
+    owned_base_ = owned->base.get();
+    catalogs_ = std::move(owned);
+  } else {
+    catalogs_ = config_.catalogs;
   }
-  auto catalog = SystemCatalog::Build(relation_, partitioning_,
-                                      config_.attr_a, config_.attr_b,
-                                      config_.hw, catalog_opts,
-                                      placement_ptr);
-  DECLUST_RETURN_NOT_OK(catalog.status());
-  catalog_ = std::move(catalog).ValueOrDie();
-  if (config_.resize != nullptr) {
-    metrics_.BindSlices(catalog_->num_slices());
+  if (catalogs_->extras.size() != config_.extra_relations.size()) {
+    return Status::InvalidArgument(
+        "catalog set does not match the configured extra relations");
   }
+  const SystemCatalog& base = *catalogs_->base;
+  if (config_.resize != nullptr) metrics_.BindSlices(base.num_slices());
 
-  // Per-relation planning state. Extra relations (open multi-relation runs)
-  // get catalogs allocated on the SAME disks as the base relation's, so
-  // their queries contend for the same spindles.
-  bindings_.push_back(RelationBinding{partitioning_, catalog_.get()});
-  for (const auto& er : config_.extra_relations) {
-    if (er.relation == nullptr || er.partitioning == nullptr) {
-      return Status::InvalidArgument("null extra relation or partitioning");
-    }
-    auto extra = SystemCatalog::Build(er.relation, er.partitioning,
-                                      config_.attr_a, config_.attr_b,
-                                      config_.hw, catalog_opts,
-                                      /*placement=*/nullptr, catalog_.get());
-    DECLUST_RETURN_NOT_OK(extra.status());
-    extra_catalogs_.push_back(std::move(extra).ValueOrDie());
-    bindings_.push_back(
-        RelationBinding{er.partitioning, extra_catalogs_.back().get()});
+  // Per-relation planning state: the base relation, then the extras.
+  bindings_.push_back(RelationBinding{partitioning_, &base});
+  for (size_t i = 0; i < config_.extra_relations.size(); ++i) {
+    bindings_.push_back(RelationBinding{config_.extra_relations[i].partitioning,
+                                        catalogs_->extras[i].get()});
   }
 
   querygen_ = std::make_unique<workload::QueryGenerator>(
@@ -117,7 +145,7 @@ Status System::Init() {
     // driver's in-flight bound is the admission cap, not the terminal count.
     const int audit_range =
         config_.resize != nullptr
-            ? std::max(config_.hw.num_processors, catalog_->num_slices())
+            ? std::max(config_.hw.num_processors, base.num_slices())
             : config_.hw.num_processors;
     const int in_flight_bound = open_armed ? config_.open->max_in_flight()
                                            : config_.multiprogramming_level;
@@ -574,9 +602,11 @@ sim::Task<Status> System::RunSiteOnce(int rel, int coord, int exec_node,
   // old extents stay valid through the flip — they are abandoned, never
   // invalidated — so reads planned pre-flip drain safely).
   const Status plan_built =
-      !backup_read ? cat.PlanAccessInto(slice, pred, sequential_scan, plan)
-                   : cat.PlanBackupAccessInto(slice, pred, sequential_scan,
-                                              plan);
+      !backup_read
+          ? cat.PlanAccessInto(slice, pred, sequential_scan, &plan_scratch_,
+                               plan)
+          : cat.PlanBackupAccessInto(slice, pred, sequential_scan,
+                                     &plan_scratch_, plan);
   if (!plan_built.ok()) {
     finish();
     co_return plan_built;

@@ -128,7 +128,23 @@ struct SystemConfig {
     const decluster::Partitioning* partitioning = nullptr;
   };
   std::vector<ExtraRelation> extra_relations;
+  /// Optional prebuilt catalogs (BuildCatalogSet of a config that matches
+  /// this one in everything the catalog reads). A sweep builds one set per
+  /// strategy and hands it to every replication; Init() reads it as is, or
+  /// takes a private Clone() when `resize` is set, since migration mutates
+  /// placement. When null, Init() builds the set itself.
+  std::shared_ptr<const CatalogSet> catalogs;
 };
+
+/// Builds the catalogs a System with `config` reads: the base relation's
+/// catalog — with chained backups when a non-empty fault plan is armed on
+/// a multi-node machine, and on the resize coordinator's initial placement
+/// when one is set — plus one catalog per extra relation on the base
+/// catalog's disks. Depends on neither the multiprogramming level nor the
+/// seed, so one set serves every point of a sweep's strategy.
+Result<std::unique_ptr<CatalogSet>> BuildCatalogSet(
+    const SystemConfig& config, const storage::Relation* relation,
+    const decluster::Partitioning* partitioning);
 
 /// \brief One simulated system instance bound to a Simulation.
 class System {
@@ -147,10 +163,12 @@ class System {
 
   Metrics& metrics() { return metrics_; }
   hw::Machine& machine() { return *machine_; }
-  const SystemCatalog& catalog() const { return *catalog_; }
+  const SystemCatalog& catalog() const { return *catalogs_->base; }
   /// Mutable catalog handle for arming a MigrationCoordinator (which
-  /// relocates fragments through it); null before Init().
-  SystemCatalog* mutable_catalog() { return catalog_.get(); }
+  /// relocates fragments through it). Null before Init() and when the
+  /// System reads a shared set without a resize coordinator: only a
+  /// catalog this System owns may change.
+  SystemCatalog* mutable_catalog() { return owned_base_; }
   /// Node id of the query-manager host (one past the operator nodes).
   /// Per-query schedulers run round-robin on the operator nodes.
   int host_node() const { return config_.hw.num_processors; }
@@ -250,22 +268,27 @@ class System {
   const workload::Workload* workload_;
 
   std::unique_ptr<hw::Machine> machine_;
-  std::unique_ptr<SystemCatalog> catalog_;
+  /// The catalogs queries read: config_.catalogs, or a set this System
+  /// built or cloned (then `owned_base_` is its base, writable).
+  std::shared_ptr<const CatalogSet> catalogs_;
+  SystemCatalog* owned_base_ = nullptr;
+  /// Plan-construction scratch; planning never suspends, so the sites of
+  /// every in-flight query can take turns with one.
+  PlanScratch plan_scratch_;
   std::unique_ptr<workload::QueryGenerator> querygen_;
   std::vector<std::unique_ptr<BufferPool>> pools_;  // empty when disabled
   std::vector<std::unique_ptr<AccessPlan>> plan_storage_;
   std::vector<AccessPlan*> plan_free_;
   Metrics metrics_;
 
-  /// Per-relation planning state; [0] aliases catalog_/partitioning_, the
-  /// rest are the open plan's extra relations (their catalogs share the
-  /// base relation's disks).
+  /// Per-relation planning state; [0] is the base relation, the rest are
+  /// the open plan's extra relations (their catalogs share the base
+  /// relation's disks).
   struct RelationBinding {
     const decluster::Partitioning* partitioning = nullptr;
-    SystemCatalog* catalog = nullptr;
+    const SystemCatalog* catalog = nullptr;
   };
   std::vector<RelationBinding> bindings_;
-  std::vector<std::unique_ptr<SystemCatalog>> extra_catalogs_;
   std::unique_ptr<workload::OpenQueryGenerator> opengen_;
   std::vector<std::unique_ptr<QueryScratch>> scratch_storage_;
   std::vector<QueryScratch*> scratch_free_;

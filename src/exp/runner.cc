@@ -33,13 +33,35 @@
 
 namespace declust::exp {
 
+Result<std::shared_ptr<const engine::CatalogSet>> SharedCatalogSet::Get(
+    const engine::SystemConfig& config, const storage::Relation& relation,
+    const decluster::Partitioning& partitioning) {
+  std::call_once(once_, [&] {
+    auto built = engine::BuildCatalogSet(config, &relation, &partitioning);
+    if (built.ok()) {
+      set_ = std::move(built).ValueOrDie();
+    } else {
+      status_ = built.status();
+    }
+  });
+  DECLUST_RETURN_NOT_OK(status_);
+  return set_;
+}
+
+void SharedCatalogSet::Done() {
+  // Every user copied the pointer (if it asked) before its own decrement,
+  // so the last decrement may drop the sweep's reference.
+  if (remaining_.fetch_sub(1) == 1) set_.reset();
+}
+
 Result<RepMetrics> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
     const workload::Workload& workload,
     int mpl, int rep, obs::Probe* probe, std::string* metrics_json,
     audit::Auditor* auditor,
-    const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations) {
+    const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations,
+    SharedCatalogSet* catalogs) {
   engine::SystemConfig sys_config;
   sys_config.hw.num_processors = config.num_processors;
   sys_config.multiprogramming_level = mpl;
@@ -122,6 +144,10 @@ Result<RepMetrics> RunSweepPointRep(
     if (extra_relations != nullptr) {
       sys_config.extra_relations = *extra_relations;
     }
+  }
+  if (catalogs != nullptr) {
+    DECLUST_ASSIGN_OR_RETURN(sys_config.catalogs,
+                             catalogs->Get(sys_config, relation, partitioning));
   }
   const int physical_nodes = sys_config.hw.num_processors;
   // The Simulation is declared strictly after every coordinator above: its
@@ -828,12 +854,23 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
   };
   std::vector<JobWatch> watches(num_jobs);
 
+  // One catalog set per strategy, built by its first job and dropped after
+  // its last. Jobs are submitted strategy-major, so a serial sweep holds
+  // one strategy's catalogs at a time.
+  std::vector<std::unique_ptr<SharedCatalogSet>> catalogs;
+  catalogs.reserve(num_strategies);
+  for (size_t s = 0; s < num_strategies; ++s) {
+    catalogs.push_back(std::make_unique<SharedCatalogSet>(
+        static_cast<int>(num_mpls) * reps));
+  }
+
   const auto run_job = [&](size_t s, size_t m, int r) {
     const size_t idx = job_index(s, m, r);
     // Cooperative interrupt (SIGINT/SIGTERM via tools): stop launching
     // simulations; already-finished replications are kept and flushed.
     if (InterruptRequested()) {
       rep_skipped[idx] = 1;
+      catalogs[s]->Done();
       watches[idx].done.store(true, std::memory_order_relaxed);
       return;
     }
@@ -857,7 +894,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
           config, relation, *partitionings[s], wl, level_value(m), r,
           options.collect_components || options.audit ? &probe : nullptr,
           /*metrics_json=*/nullptr, auditor,
-          open_mode ? &open_inputs.views[s] : nullptr);
+          open_mode ? &open_inputs.views[s] : nullptr, catalogs[s].get());
       if (res.ok()) {
         rep_metrics[idx] = *res;
       } else {
@@ -870,6 +907,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
       rep_status[idx] =
           Status::Internal("replication threw a non-standard exception");
     }
+    catalogs[s]->Done();
     watches[idx].done.store(true, std::memory_order_relaxed);
   };
 
@@ -1139,7 +1177,7 @@ Result<audit::DifferentialReport> RunAuditDifferential(
   const auto run_variant = [](audit::DifferentialReport* rep,
                               const std::string& label,
                               const ExperimentConfig& cfg, int jobs,
-                              bool audited) -> Status {
+                              bool audited, size_t reference = 0) -> Status {
     RunnerOptions vopts;
     vopts.jobs = jobs;
     vopts.audit = audited;
@@ -1156,7 +1194,7 @@ Result<audit::DifferentialReport> RunAuditDifferential(
       }
     }
     rep->variants.push_back(
-        audit::VariantDigest{label, obs::Fnv1a64(all)});
+        audit::VariantDigest{label, obs::Fnv1a64(all), reference});
     if (res.audited && (res.audit_violations > 0 || res.oracle_mismatches > 0)) {
       return Status::Internal(
           "differential variant '" + label + "' had " +
@@ -1175,19 +1213,33 @@ Result<audit::DifferentialReport> RunAuditDifferential(
   DECLUST_RETURN_NOT_OK(run_variant(
       &report, "jobs=" + std::to_string(par) + "+audit", config, par, true));
 
-  if (config.faults.empty() && config.open.empty()) {
+  if (config.faults.empty()) {
     // Armed-but-inactive plan: chained backups are built and the injector is
-    // armed, but the event fires far beyond the simulated horizon — results
-    // must not move (backups live after the primary extents; see PR 2).
-    // Skipped for open configs: an extra relation's shared-disk catalog
-    // allocates AFTER the base catalog's extents, so building base backups
-    // legitimately shifts its extent addresses (and disk seek times).
+    // armed, but the event fires far beyond the simulated horizon.
     ExperimentConfig armed = config;
     const long long never_ms = static_cast<long long>(
         (config.warmup_ms + config.measure_ms) * 10 + 1'000);
     armed.faults = "disk:node0@t=" + std::to_string(never_ms) + "ms";
-    DECLUST_RETURN_NOT_OK(
-        run_variant(&report, "fault-plan-inactive", armed, 1, true));
+    if (config.open.empty() && config.resize.empty() &&
+        config.control.empty()) {
+      // Static closed configs: results must not move (backups live after
+      // the primary extents).
+      DECLUST_RETURN_NOT_OK(
+          run_variant(&report, "fault-plan-inactive", armed, 1, true));
+    } else {
+      // The backups legitimately change these configs' results, so the
+      // armed variant must reproduce its own jobs=N twin instead of the
+      // unarmed baseline. With backups, every membership change also
+      // re-chains backup copies (more migrations and pages copied), and
+      // backup extents shift where migration destinations and an open
+      // run's extra-relation catalogs are allocated (other seek times).
+      const size_t twin = report.variants.size();
+      DECLUST_RETURN_NOT_OK(run_variant(
+          &report, "fault-plan-inactive/jobs=" + std::to_string(par), armed,
+          par, true, /*reference=*/twin));
+      DECLUST_RETURN_NOT_OK(run_variant(&report, "fault-plan-inactive", armed,
+                                        1, true, /*reference=*/twin));
+    }
   }
   return report;
 }

@@ -3,13 +3,18 @@
 //
 // Determinism: every point is simulated in its own sim::Simulation +
 // engine::System with an RNG seeded only by (config.seed, mpl, rep), and the
-// relation/partitionings/workload are shared strictly read-only — so each
-// point's measurements are bit-identical regardless of which thread runs it
-// or in what order. Results are assembled in sweep order afterwards, making
-// the full SweepResult byte-identical for any job count (verified by
+// relation/partitionings/workload and each strategy's catalog set are
+// shared strictly read-only (a point that migrates fragments works on a
+// private clone) — so each point's measurements are bit-identical
+// regardless of which thread runs it or in what order. Results are
+// assembled in sweep order afterwards, making the full SweepResult
+// byte-identical for any job count (verified by
 // tests/exp/runner_determinism_test).
 #pragma once
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/audit/audit.h"
@@ -124,6 +129,30 @@ struct RepMetrics {
   std::vector<SweepPoint::ControlDecision> ctl_decisions;
 };
 
+/// \brief One strategy's catalog set, built once per sweep and shared
+/// read-only by every replication of that strategy. The first replication
+/// to ask builds it from its own SystemConfig (the set depends on neither
+/// the level, the replication nor the seed — engine::BuildCatalogSet); a
+/// build failure is returned to every asker. Each of the `users`
+/// replications calls Done() when finished, whether or not it asked, and
+/// the last one drops the set, so a serial sweep holds one strategy's
+/// catalogs at a time.
+class SharedCatalogSet {
+ public:
+  explicit SharedCatalogSet(int users) : remaining_(users) {}
+
+  Result<std::shared_ptr<const engine::CatalogSet>> Get(
+      const engine::SystemConfig& config, const storage::Relation& relation,
+      const decluster::Partitioning& partitioning);
+  void Done();
+
+ private:
+  std::once_flag once_;
+  Status status_;
+  std::shared_ptr<const engine::CatalogSet> set_;
+  std::atomic<int> remaining_;
+};
+
 /// Runs one replication of one sweep point. Pure function of
 /// (config, relation, partitioning, workload, mpl, rep); never touches
 /// global state, so it is safe to call concurrently with distinct `mpl`/
@@ -144,6 +173,9 @@ struct RepMetrics {
 /// `auditor` (nullable, caller-owned, one per concurrent call like `probe`)
 /// is installed on the replication's Simulation and System; its end-of-run
 /// identities are finalized before the function returns.
+/// `catalogs` (nullable, shared across concurrent calls of one strategy)
+/// supplies the strategy's catalog set; when null the replication builds
+/// its own.
 Result<RepMetrics> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
@@ -151,7 +183,8 @@ Result<RepMetrics> RunSweepPointRep(
     int mpl, int rep, obs::Probe* probe = nullptr,
     std::string* metrics_json = nullptr, audit::Auditor* auditor = nullptr,
     const std::vector<engine::SystemConfig::ExtraRelation>* extra_relations =
-        nullptr);
+        nullptr,
+    SharedCatalogSet* catalogs = nullptr);
 
 /// Runs the full sweep with `options.jobs` workers. The serial path
 /// (jobs <= 1) and the parallel path share the same per-point and
@@ -181,10 +214,13 @@ Status RunExplain(const ExperimentConfig& config,
 ///   3. jobs=N, audited             (scheduling independence, N >= 2)
 ///   4. jobs=1, audited, plus an armed-but-inactive fault plan
 ///      (chained backups built, event far beyond the horizon) — only when
-///      `config` itself is fault-free.
+///      `config` itself is fault-free. Open, resize and control configs,
+///      whose results the backups legitimately change, compare it against
+///      its own jobs=N twin instead of the baseline.
 /// Each variant's aggregated curve is digested exactly as the run manifest
-/// digests it; any digest differing from the baseline is a reproducibility
-/// bug. Audit violations inside a variant fail the check outright.
+/// digests it; any digest differing from its reference's is a
+/// reproducibility bug. Audit violations inside a variant fail the check
+/// outright.
 Result<audit::DifferentialReport> RunAuditDifferential(
     const ExperimentConfig& config, const RunnerOptions& options);
 

@@ -81,20 +81,27 @@ TEST(CatalogStatusTest, PlanIntoVariantsReportTheSameFailure) {
   Fixture f;
   TruncateStore(f.catalog.get(), 0);
   AccessPlan plan;
-  EXPECT_TRUE(f.catalog->PlanAccessInto(0, {1, 0, 1 << 30}, false, &plan)
-                  .IsOutOfRange());
-  EXPECT_TRUE(f.catalog->PlanAccessInto(0, {0, 0, 1 << 30}, false, &plan)
-                  .IsOutOfRange());
+  PlanScratch scratch;
+  EXPECT_TRUE(
+      f.catalog->PlanAccessInto(0, {1, 0, 1 << 30}, false, &scratch, &plan)
+          .IsOutOfRange());
+  EXPECT_TRUE(
+      f.catalog->PlanAccessInto(0, {0, 0, 1 << 30}, false, &scratch, &plan)
+          .IsOutOfRange());
   // An untouched slice still plans fine afterwards.
-  EXPECT_TRUE(f.catalog->PlanAccessInto(1, {1, 0, 1 << 30}, true, &plan).ok());
+  EXPECT_TRUE(
+      f.catalog->PlanAccessInto(1, {1, 0, 1 << 30}, true, &scratch, &plan)
+          .ok());
 }
 
 TEST(CatalogStatusTest, BackupPlansWithoutBackupsFailCleanly) {
   Fixture f;  // chained_backups defaults off
   ASSERT_FALSE(f.catalog->has_backups());
   AccessPlan plan;
-  EXPECT_TRUE(f.catalog->PlanBackupAccessInto(0, {1, 0, 10}, false, &plan)
-                  .IsFailedPrecondition());
+  PlanScratch scratch;
+  EXPECT_TRUE(
+      f.catalog->PlanBackupAccessInto(0, {1, 0, 10}, false, &scratch, &plan)
+          .IsFailedPrecondition());
   const auto rebuild = f.catalog->PlanRebuild(0);
   ASSERT_FALSE(rebuild.ok());
   EXPECT_TRUE(rebuild.status().IsFailedPrecondition());

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the robustness subsystems: builds the repo under
 # AddressSanitizer and UndefinedBehaviorSanitizer and runs every test
-# labeled faults, audit, recovery, resize, open, or control under each. The
-# fault-injection, invariant-audit, online-recovery, elastic-membership,
-# open-system and closed-loop-control code paths are exactly the ones that
-# exercise coroutine lifetimes, signal-driven interrupts and background I/O
-# racing foreground queries — the bugs sanitizers exist to catch.
+# labeled faults, audit, recovery, resize, open, control or catalog under
+# each. The fault-injection, invariant-audit, online-recovery,
+# elastic-membership, open-system and closed-loop-control code paths are
+# exactly the ones that exercise coroutine lifetimes, signal-driven
+# interrupts and background I/O racing foreground queries — the bugs
+# sanitizers exist to catch.
 #
-# A third pass builds under ThreadSanitizer and runs the resize, open and
-# control labels, whose *AcrossJobCounts tests drive the --jobs worker pool
-# (the only multi-threaded run path). A Release build of every target then
+# A third pass builds under ThreadSanitizer and runs the resize, open,
+# control and catalog labels, whose *AcrossJobCounts and concurrent-reader
+# tests drive the --jobs worker pool (the only multi-threaded run path)
+# over one shared catalog set per strategy. A Release build of every target then
 # runs a differential smoke: the same quick sweeps serially and with
 # --jobs 4 must produce byte-identical output.
 #
@@ -60,17 +62,21 @@ run_preset() {
 # The scale label rides the ASAN pass: its 256-node x 1M-tuple smoke drives
 # the threaded catalog-build pass under the sanitizer (the 1,024-node
 # Release-only test self-skips there and runs in the relsmoke tree below).
-run_preset asan DECLUST_ASAN 'faults|audit|recovery|resize|open|control|scale' \
+run_preset asan DECLUST_ASAN \
+  'faults|audit|recovery|resize|open|control|catalog|scale' \
   fault_test audit_test recovery_test resize_test open_test control_test \
-  scale_test
-run_preset ubsan DECLUST_UBSAN 'faults|audit|recovery|resize|open|control' \
-  fault_test audit_test recovery_test resize_test open_test control_test
+  catalog_share_test scale_test
+run_preset ubsan DECLUST_UBSAN \
+  'faults|audit|recovery|resize|open|control|catalog' \
+  fault_test audit_test recovery_test resize_test open_test control_test \
+  catalog_share_test
 # The --jobs worker pool is the only place the simulator runs on more than
-# one thread; TSAN over the resize/open/control labels is the race gate for
-# it (their *AcrossJobCounts tests run concurrent replications with the
-# migration, arrival and feedback-control machinery armed).
-run_preset tsan DECLUST_TSAN 'resize|open|control' \
-  resize_test open_test control_test
+# one thread; TSAN over the resize/open/control/catalog labels is the race
+# gate for it (their *AcrossJobCounts tests run concurrent replications with
+# the migration, arrival and feedback-control machinery armed, and the
+# catalog label's concurrent readers share one strategy's catalog set).
+run_preset tsan DECLUST_TSAN 'resize|open|control|catalog' \
+  resize_test open_test control_test catalog_share_test
 
 # Release differential smoke: serial vs --jobs 4 on a quick sweep must be
 # byte-identical. Release mode matters here — it is the configuration where
@@ -148,16 +154,31 @@ fi
 # audit_sweep's differential harness runs the same config through every
 # variant (jobs=1, jobs=1+audit, jobs=N+audit, inactive fault plan) and
 # compares result digests — the invariant-level form of the checks above.
-echo "=== relsmoke: audit_sweep differential ==="
-if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}"; then
-  echo "*** relsmoke: audit_sweep differential FAILED" >&2
-  FAILED=1
-fi
+# audit_smoke LABEL [ARGS...]: audit_sweep over the quick sweep plus ARGS.
+audit_smoke() {
+  local label="$1"
+  shift
+  echo "=== relsmoke: audit_sweep $label differential ==="
+  if ! "$SMOKE_DIR/tools/audit_sweep" "${SMOKE_ARGS[@]}" "$@"; then
+    echo "*** relsmoke: audit_sweep $label differential FAILED" >&2
+    FAILED=1
+  fi
+}
+audit_smoke closed
+# Migrating configs: their armed-but-inactive variant builds chained
+# backups, which a membership change re-chains, so it is checked against
+# its own --jobs N twin rather than the unarmed baseline. 4k tuples (and 32
+# slices for the scripted plan) keep each slice small enough to migrate
+# inside the 2.5 s horizon.
+audit_smoke --resize --cardinality 4000 \
+  --resize 'slices:32;add:node8@t=1s;remove:node8@t=2s'
+audit_smoke --control --cardinality 4000 \
+  --control 'slo:p95<40ms,every=500ms,settle=2;scale:min=8,max=12'
 
 if [[ "$FAILED" != 0 ]]; then
   echo "ci_check: sanitizer gate FAILED" >&2
   exit 1
 fi
-echo "ci_check: faults|audit|recovery|resize|open|control|scale clean under" \
-  "ASAN/UBSAN, resize|open|control clean under TSAN, release digest" \
-  "stable across --jobs"
+echo "ci_check: faults|audit|recovery|resize|open|control|catalog|scale" \
+  "clean under ASAN/UBSAN, resize|open|control|catalog clean under TSAN," \
+  "release digest stable across --jobs"
