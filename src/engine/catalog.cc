@@ -402,49 +402,6 @@ Result<std::unique_ptr<SystemCatalog>> SystemCatalog::Build(
   return catalog;
 }
 
-std::unique_ptr<SystemCatalog> SystemCatalog::Clone(
-    SystemCatalog* share_disks_with) const {
-  auto copy = std::unique_ptr<SystemCatalog>(new SystemCatalog());
-  copy->relation_ = relation_;
-  copy->partitioning_ = partitioning_;
-  copy->berd_ = berd_;
-  copy->opts_ = opts_;
-  // FragmentStore's copy shares the immutable trees and copies the extents
-  // a migration relocates.
-  for (const auto& store : stores_) {
-    copy->stores_.push_back(std::make_unique<FragmentStore>(*store));
-  }
-  for (const auto& store : backup_stores_) {
-    copy->backup_stores_.push_back(std::make_unique<FragmentStore>(*store));
-  }
-  copy->aux_extents_ = aux_extents_;
-  copy->aux_backup_extents_ = aux_backup_extents_;
-  copy->owner_ = owner_;
-  copy->backup_owner_ = backup_owner_;
-  if (owned_layouts_.empty()) {
-    assert(share_disks_with != nullptr &&
-           share_disks_with->num_nodes() == num_nodes() &&
-           "a shared-disk catalog clones onto its disk owner's clone");
-    copy->layout_refs_ = share_disks_with->layout_refs_;
-  } else {
-    for (const auto& layout : owned_layouts_) {
-      copy->owned_layouts_.push_back(
-          std::make_unique<storage::DiskLayout>(*layout));
-      copy->layout_refs_.push_back(copy->owned_layouts_.back().get());
-    }
-  }
-  return copy;
-}
-
-std::unique_ptr<CatalogSet> CatalogSet::Clone() const {
-  auto copy = std::make_unique<CatalogSet>();
-  copy->base = base->Clone();
-  for (const auto& extra : extras) {
-    copy->extras.push_back(extra->Clone(copy->base.get()));
-  }
-  return copy;
-}
-
 int64_t SystemCatalog::memory_bytes() const {
   int64_t bytes = 0;
   std::unordered_set<const void*> counted;

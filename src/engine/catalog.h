@@ -282,14 +282,6 @@ class SystemCatalog {
       const PlacementSpec* placement = nullptr,
       SystemCatalog* share_disks_with = nullptr);
 
-  /// Deep copy for a replication that mutates placement (migration): fresh
-  /// fragment stores, disk layouts (allocation cursors included) and
-  /// placement tables, sharing the immutable index trees. A catalog built
-  /// on another's disks needs `share_disks_with`: the clone of that disk
-  /// owner, whose layouts the copy then allocates on.
-  std::unique_ptr<SystemCatalog> Clone(
-      SystemCatalog* share_disks_with = nullptr) const;
-
   /// Physical machine size (disk layouts). Equals num_slices() without a
   /// placement.
   int num_nodes() const { return static_cast<int>(layout_refs_.size()); }
@@ -457,15 +449,10 @@ class SystemCatalog {
 /// multi-relation open runs, one per extra relation allocated on the base
 /// catalog's disks (extras[i] serves QueryInstance::relation == i + 1).
 /// Immutable once built, so every replication of one strategy in a sweep
-/// can share one set; a replication that migrates fragments takes a
-/// Clone().
+/// can share one set; a replication that migrates fragments builds its own.
 struct CatalogSet {
   std::unique_ptr<SystemCatalog> base;
   std::vector<std::unique_ptr<SystemCatalog>> extras;
-
-  /// Deep copy: the base is cloned, and every extra is cloned onto the
-  /// base clone's disks.
-  std::unique_ptr<CatalogSet> Clone() const;
 };
 
 }  // namespace declust::engine

@@ -85,19 +85,18 @@ Status System::Init() {
       sim_, machine_params, RandomStream(config_.seed), config_.fault_plan,
       config_.seed, config_.probe);
 
-  // A shared set is read as is unless this System migrates fragments;
-  // then it works on a private clone, so its epoch flips never reach the
-  // other replications reading the set.
-  std::unique_ptr<CatalogSet> owned;
+  // A shared set is read as is; a System that migrates fragments mutates
+  // its catalog, so it must own it.
   if (config_.catalogs == nullptr) {
     DECLUST_ASSIGN_OR_RETURN(
-        owned, BuildCatalogSet(config_, relation_, partitioning_));
-  } else if (config_.resize != nullptr) {
-    owned = config_.catalogs->Clone();
-  }
-  if (owned != nullptr) {
+        std::unique_ptr<CatalogSet> owned,
+        BuildCatalogSet(config_, relation_, partitioning_));
     owned_base_ = owned->base.get();
     catalogs_ = std::move(owned);
+  } else if (config_.resize != nullptr) {
+    return Status::InvalidArgument(
+        "a System with a resize coordinator migrates fragments and cannot "
+        "read a shared catalog set");
   } else {
     catalogs_ = config_.catalogs;
   }

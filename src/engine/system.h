@@ -130,9 +130,9 @@ struct SystemConfig {
   std::vector<ExtraRelation> extra_relations;
   /// Optional prebuilt catalogs (BuildCatalogSet of a config that matches
   /// this one in everything the catalog reads). A sweep builds one set per
-  /// strategy and hands it to every replication; Init() reads it as is, or
-  /// takes a private Clone() when `resize` is set, since migration mutates
-  /// placement. When null, Init() builds the set itself.
+  /// strategy and hands it to every replication that does not migrate;
+  /// Init() reads it as is and rejects it when `resize` is set, since
+  /// migration mutates placement. When null, Init() builds the set itself.
   std::shared_ptr<const CatalogSet> catalogs;
 };
 
@@ -166,8 +166,8 @@ class System {
   const SystemCatalog& catalog() const { return *catalogs_->base; }
   /// Mutable catalog handle for arming a MigrationCoordinator (which
   /// relocates fragments through it). Null before Init() and when the
-  /// System reads a shared set without a resize coordinator: only a
-  /// catalog this System owns may change.
+  /// System reads a shared set: only a catalog this System built may
+  /// change.
   SystemCatalog* mutable_catalog() { return owned_base_; }
   /// Node id of the query-manager host (one past the operator nodes).
   /// Per-query schedulers run round-robin on the operator nodes.
@@ -269,7 +269,7 @@ class System {
 
   std::unique_ptr<hw::Machine> machine_;
   /// The catalogs queries read: config_.catalogs, or a set this System
-  /// built or cloned (then `owned_base_` is its base, writable).
+  /// built (then `owned_base_` is its base, writable).
   std::shared_ptr<const CatalogSet> catalogs_;
   SystemCatalog* owned_base_ = nullptr;
   /// Plan-construction scratch; planning never suspends, so the sites of

@@ -145,7 +145,9 @@ Result<RepMetrics> RunSweepPointRep(
       sys_config.extra_relations = *extra_relations;
     }
   }
-  if (catalogs != nullptr) {
+  // A replication that migrates fragments mutates its catalog, so it builds
+  // a private one instead of reading the strategy's shared set.
+  if (catalogs != nullptr && sys_config.resize == nullptr) {
     DECLUST_ASSIGN_OR_RETURN(sys_config.catalogs,
                              catalogs->Get(sys_config, relation, partitioning));
   }

@@ -4,8 +4,8 @@
 // Determinism: every point is simulated in its own sim::Simulation +
 // engine::System with an RNG seeded only by (config.seed, mpl, rep), and the
 // relation/partitionings/workload and each strategy's catalog set are
-// shared strictly read-only (a point that migrates fragments works on a
-// private clone) — so each point's measurements are bit-identical
+// shared strictly read-only (a point that migrates fragments builds its
+// own catalogs) — so each point's measurements are bit-identical
 // regardless of which thread runs it or in what order. Results are
 // assembled in sweep order afterwards, making the full SweepResult
 // byte-identical for any job count (verified by
@@ -174,8 +174,9 @@ class SharedCatalogSet {
 /// is installed on the replication's Simulation and System; its end-of-run
 /// identities are finalized before the function returns.
 /// `catalogs` (nullable, shared across concurrent calls of one strategy)
-/// supplies the strategy's catalog set; when null the replication builds
-/// its own.
+/// supplies the strategy's catalog set; when null, or when the config
+/// migrates fragments (--resize, --control), the replication builds its
+/// own.
 Result<RepMetrics> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,

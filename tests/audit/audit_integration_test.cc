@@ -196,6 +196,60 @@ TEST(DifferentialTest, ReportFlagsDivergingDigests) {
   report.variants[2].digest = 0x1234u;
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.Mismatches().empty());
+
+  // A twin that names itself as reference is compared against nothing; a
+  // later variant naming the twin must reproduce the twin, not variant 0.
+  report.variants.push_back({"armed/jobs=4", 0x5678u, 3});
+  report.variants.push_back({"armed", 0x9999u, 3});
+  EXPECT_FALSE(report.ok());
+  const auto vs_twin = report.Mismatches();
+  ASSERT_EQ(vs_twin.size(), 1u);
+  EXPECT_NE(vs_twin[0].find("armed/jobs=4"), std::string::npos);
+  EXPECT_NE(vs_twin[0].find("reference"), std::string::npos);
+
+  report.variants[4].digest = 0x5678u;
+  EXPECT_TRUE(report.ok());
+}
+
+/// The armed-but-inactive fault plan builds chained backups, which change a
+/// migrating run's results: every membership change also re-chains the
+/// backup copies. So for --resize and --control configs that variant must
+/// reproduce its own jobs=N twin rather than the unarmed baseline (which it
+/// never matches) — checked, not skipped. The configs are the point
+/// audit_sweep re-runs under DECLUST_QUICK: range at MPL 1 on 32
+/// processors, 20k tuples, 1 s + 4 s windows.
+TEST(DifferentialTest, MigratingConfigsCheckTheArmedVariantAgainstItsTwin) {
+  ExperimentConfig resize;
+  resize.resize = "add:node32@t=1s;remove:node32@t=2s";
+  ExperimentConfig control;
+  control.control = "slo:p95<40ms,every=1s,settle=2;scale:min=32,max=36";
+  for (ExperimentConfig cfg : {resize, control}) {
+    SCOPED_TRACE(cfg.resize + cfg.control);
+    cfg.name = "low-low";
+    cfg.strategies = {"range"};
+    cfg.mpls = {1};
+    cfg.cardinality = 20'000;
+    cfg.warmup_ms = 1'000;
+    cfg.measure_ms = 4'000;
+    RunnerOptions opts;
+    opts.jobs = 2;
+    opts.audit = true;
+    auto diff = RunAuditDifferential(cfg, opts);
+    ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+    EXPECT_TRUE(diff->ok()) << [&] {
+      std::string all = diff->Summary();
+      for (const auto& m : diff->Mismatches()) all += "\n  " + m;
+      return all;
+    }();
+    ASSERT_EQ(diff->variants.size(), 5u);
+    const audit::VariantDigest& twin = diff->variants[3];
+    const audit::VariantDigest& armed = diff->variants[4];
+    EXPECT_EQ(twin.label, "fault-plan-inactive/jobs=2");
+    EXPECT_EQ(twin.reference, 3u);
+    EXPECT_EQ(armed.label, "fault-plan-inactive");
+    EXPECT_EQ(armed.reference, 3u);
+    EXPECT_NE(armed.digest, diff->variants[0].digest);
+  }
 }
 
 }  // namespace

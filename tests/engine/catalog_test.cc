@@ -164,65 +164,5 @@ TEST(CatalogTest, NullArgumentsRejected) {
                   .IsInvalidArgument());
 }
 
-TEST(CatalogTest, CloneMigratesWithoutTouchingTheOriginal) {
-  Fixture f;
-  hw::HwParams hw;
-  CatalogOptions opts;
-  opts.chained_backups = true;
-  // Identity placement over the 8 slices, so the catalog accepts
-  // CommitMigration.
-  PlacementSpec placement;
-  placement.num_physical_nodes = 8;
-  for (int s = 0; s < 8; ++s) {
-    placement.owner.push_back(s);
-    placement.backup_owner.push_back((s + 1) % 8);
-  }
-  auto original = SystemCatalog::Build(&f.rel, f.part.get(), 0, 1, hw, opts,
-                                       &placement)
-                      .ValueOrDie();
-  const Predicate scan{1, 2000, 2299};
-  const Predicate probe{0, 0, 1 << 30};
-  const auto scan_before = original->PlanAccess(0, scan, true).ValueOrDie();
-  const auto probe_before = original->PlanAccess(0, probe).ValueOrDie();
-  const storage::Extent data_before = original->store(0).data_extent();
-
-  auto clone = original->Clone();
-  // Slice 0 moves onto node 1, after node 1's own extents.
-  auto job = clone->PlanFragmentCopy(0, 1, /*backup_copy=*/false,
-                                     /*from_backup_source=*/false)
-                 .ValueOrDie();
-  clone->CommitMigration(job);
-  EXPECT_EQ(clone->OwnerOf(0), 1);
-  EXPECT_EQ(clone->store(0).data_extent().base_page, job.new_data.base_page);
-  EXPECT_NE(ExpandDataPages(clone->PlanAccess(0, scan, true).ValueOrDie()),
-            ExpandDataPages(scan_before));
-
-  // The original still has slice 0 where Build put it.
-  EXPECT_EQ(original->OwnerOf(0), 0);
-  EXPECT_EQ(original->store(0).data_extent().base_page, data_before.base_page);
-  EXPECT_EQ(original->store(0).data_extent().num_pages, data_before.num_pages);
-  const auto scan_after = original->PlanAccess(0, scan, true).ValueOrDie();
-  const auto probe_after = original->PlanAccess(0, probe).ValueOrDie();
-  EXPECT_EQ(ExpandDataPages(scan_after), ExpandDataPages(scan_before));
-  EXPECT_EQ(scan_after.tuples, scan_before.tuples);
-  EXPECT_EQ(probe_after.index_pages, probe_before.index_pages);
-  EXPECT_EQ(probe_after.data_pages, probe_before.data_pages);
-  EXPECT_EQ(probe_after.tuples, probe_before.tuples);
-  // The clone's disk layouts are copies: the same move planned on the
-  // original lands exactly where the clone's did, not after it.
-  const auto again = original->PlanFragmentCopy(0, 1, false, false)
-                         .ValueOrDie();
-  EXPECT_EQ(again.new_data.base_page, job.new_data.base_page);
-
-  // Index trees are shared, not copied.
-  EXPECT_EQ(clone->memory_bytes(), original->memory_bytes());
-  for (int s = 0; s < 8; ++s) {
-    EXPECT_EQ(clone->store(s).index_identity(),
-              original->store(s).index_identity());
-    EXPECT_EQ(clone->backup_store(s).index_identity(),
-              original->backup_store(s).index_identity());
-  }
-}
-
 }  // namespace
 }  // namespace declust::engine

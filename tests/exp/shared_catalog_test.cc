@@ -1,9 +1,9 @@
 // One catalog set per (sweep, strategy): every replication of a strategy
 // reads the same immutable catalogs, concurrently under --jobs, and a
-// replication that migrates fragments works on a private clone. These tests
-// pin that sharing changes no result: shared and standalone replications
-// agree field for field, one replication's migrations never reach the next,
-// and concurrent readers of one set match the serial sweep byte for byte.
+// replication that migrates fragments builds its own. These tests pin that
+// sharing changes no result: shared and standalone replications agree field
+// for field, one replication's migrations never reach the next, and
+// concurrent readers of one set match the serial sweep byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,8 @@
 #include "src/exp/experiment.h"
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
+#include "src/resize/migrate.h"
+#include "src/sim/simulation.h"
 #include "src/workload/mixes.h"
 #include "src/workload/wisconsin.h"
 
@@ -158,6 +160,26 @@ TEST(SharedCatalogTest, BuildFailureIsEveryAskersStatus) {
   // The failure sticks even for an asker whose own config would build.
   sys.extra_relations.clear();
   EXPECT_TRUE(shared.Get(sys, relation, *part).status().IsInvalidArgument());
+}
+
+TEST(SharedCatalogTest, MigratingSystemRejectsASharedSet) {
+  const ExperimentConfig cfg = SmallConfig();
+  workload::WisconsinOptions wopts;
+  wopts.cardinality = cfg.cardinality;
+  const storage::Relation relation = workload::MakeWisconsin(wopts);
+  const workload::Workload wl = workload::MakeMix(cfg.qa, cfg.qb, cfg.mix);
+  const auto part = MakePartitioning("range", relation, wl, 8).ValueOrDie();
+  engine::SystemConfig sys;
+  sys.hw.num_processors = 8;
+  SharedCatalogSet shared(1);
+  sys.catalogs = shared.Get(sys, relation, *part).ValueOrDie();
+
+  // Migration writes the catalog, so a System that migrates must own it.
+  resize::MigrationCoordinator migrator(8, 8, 8);
+  sys.resize = &migrator;
+  sim::Simulation sim;
+  engine::System system(&sim, sys, &relation, part.get(), &wl);
+  EXPECT_TRUE(system.Init().IsInvalidArgument());
 }
 
 TEST(SharedCatalogTest, ConcurrentReadersMatchTheSerialSweep) {
