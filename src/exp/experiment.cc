@@ -96,6 +96,7 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
   // An elastic plan enlarges the physical machine: fault/recovery events may
   // then target any node the plan ever adds, not just the initial members.
   int physical_nodes = config.num_processors;
+  int resize_slices = config.num_processors;
   if (!config.resize.empty()) {
     auto zplan = resize::ResizePlan::Parse(config.resize);
     if (!zplan.ok()) {
@@ -109,6 +110,7 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
       return invalid("resize spec: " + vs.message());
     }
     physical_nodes = zplan->NumPhysicalNodes(config.num_processors);
+    resize_slices = zplan->NumSlices(config.num_processors);
   }
   if (!config.control.empty()) {
     auto cplan = control::ControlPlan::Parse(config.control);
@@ -194,6 +196,15 @@ Status ValidateExperimentConfig(const ExperimentConfig& config) {
     if (!config.recovery.empty()) {
       return invalid("an open-system spec cannot combine with a recovery "
                      "spec");
+    }
+    // Extra relations keep one fragment per disk of the base relation's
+    // physical nodes, so their partitionings cannot follow a resize plan's
+    // larger logical slice count.
+    if (!oplan->extra_relations().empty() && resize_slices > physical_nodes) {
+      return invalid("an open-system spec with relation: items cannot "
+                     "combine with a resize spec whose slice count (" +
+                     std::to_string(resize_slices) + ") exceeds its " +
+                     std::to_string(physical_nodes) + " physical nodes");
     }
     for (size_t i = 0; i < config.offered_loads.size(); ++i) {
       const double load = config.offered_loads[i];

@@ -78,9 +78,13 @@ struct ExperimentConfig {
   std::vector<double> offered_loads;
 };
 
-/// \brief One measured sweep point. All metrics are averaged across the
-/// `repeats` replications; the *_ci95 fields carry the 95% confidence
-/// half-width across replications (0 when repeats == 1).
+/// \brief One measured sweep point, or one replication of it: a replication
+/// is a one-rep point whose *_ci95 fields are 0. A point folds its
+/// replications column by column (AggregatePoint, src/exp/columns.h); the
+/// *_ci95 fields carry the 95% confidence half-width across replications
+/// (0 when repeats == 1). A field outside its group's run mode keeps its
+/// default; src/exp/columns.h lists every field's group, CSV column,
+/// digest token and fold.
 struct SweepPoint {
   /// The sweep level: the multiprogramming level for closed-loop runs, the
   /// index into ExperimentConfig::offered_loads for open-system runs (whose
@@ -96,77 +100,68 @@ struct SweepPoint {
   double disk_utilization = 0;
   /// Mean busy fraction of the operator nodes' CPUs over the window.
   double cpu_utilization = 0;
-  /// Completions in the window, averaged (rounded) across replications.
+  /// Completions in the window.
   int64_t completed = 0;
   /// Load imbalance across the surviving disks over the window: max node
   /// busy-time divided by mean node busy-time (1.0 = perfectly even).
   double disk_imbalance = 0;
-  /// Fault-handling counters summed over the window, averaged (rounded)
-  /// across replications. All zero in failure-free runs.
+  /// Fault-handling counters summed over the window. All zero in
+  /// failure-free runs.
   int64_t io_errors = 0;
   int64_t retries = 0;
   int64_t timeouts = 0;
   int64_t failovers = 0;
   int64_t failed_queries = 0;
-  /// Mean per-query response-time components (ms), populated only when the
-  /// runner collects them (RunnerOptions::collect_components). `cpu` folds
-  /// in DMA transfers; `queue` folds CPU queueing and retry backoff;
-  /// `unattributed` is response minus the component sum (negative when
-  /// intra-query parallelism makes the buckets overlap).
+  /// Mean per-query response-time components (ms), filled when the
+  /// replication ran with a probe. `cpu` folds in DMA transfers; `queue`
+  /// folds CPU queueing and retry backoff; `unattributed` is response minus
+  /// the component sum (negative when intra-query parallelism makes the
+  /// buckets overlap).
   double comp_disk_wait_ms = 0;
   double comp_disk_service_ms = 0;
   double comp_cpu_ms = 0;
   double comp_network_ms = 0;
   double comp_queue_ms = 0;
   double comp_unattributed_ms = 0;
-  /// Recovery lifecycle columns, populated only for --recovery runs
-  /// (SweepResult::has_recovery). Per-phase throughput / mean response over
-  /// the measurement window, indexed by recover::RecoveryCoordinator::Phase
-  /// (normal, degraded, rebuilding, restored); zero-width phases report 0.
-  bool has_recovery = false;
+  /// Recovery lifecycle (--recovery). Per-phase throughput / mean response
+  /// over the measurement window, indexed by
+  /// recover::RecoveryCoordinator::Phase (normal, degraded, rebuilding,
+  /// restored); zero-width phases report 0.
   double phase_qps[4] = {0, 0, 0, 0};
   double phase_resp_ms[4] = {0, 0, 0, 0};
-  /// Phase-boundary timestamps (simulated ms, averaged across reps); -1
-  /// when the boundary was never reached in any replication.
+  /// Phase-boundary timestamps (simulated ms); -1 when never reached.
   double fail_ms = -1;
   double rebuild_start_ms = -1;
   double restored_ms = -1;
-  /// Rebuild work accounting, averaged (rounded) across replications.
+  /// Rebuild work accounting.
   int64_t rebuild_pages = 0;
   int64_t rebuilds_completed = 0;
   int64_t rebuilds_aborted = 0;
-  /// Elastic-membership columns, populated only for --resize runs
-  /// (SweepResult::has_resize). A plan with K membership events yields
+  /// Elastic membership (--resize). A plan with K membership events yields
   /// 2K+1 reporting phases (before/during/after each event); the vectors
   /// are indexed by phase.
-  bool has_resize = false;
   std::vector<double> resize_phase_qps;
   std::vector<double> resize_phase_resp_ms;
-  /// Migration accounting, averaged (rounded) across replications.
+  /// Migration accounting.
   int64_t migrations = 0;
   int64_t migrations_aborted = 0;
   int64_t pages_migrated = 0;
   int64_t migration_redirects = 0;
   int64_t rebalance_moves = 0;
   int final_members = 0;
-  /// Open-system columns, populated only for --open runs
-  /// (SweepResult::has_open). `offered_qps` is the nominal arrival rate of
+  /// Open system (--open). `offered_qps` is the nominal arrival rate of
   /// this sweep level (the measured rate when the plan's own schedule ran);
-  /// `arrivals` / `shed` count the measurement window, averaged (rounded)
-  /// across replications. `p99_response_ms` is -1 when no replication
-  /// completed a query inside the window (a paused or fully shed system) —
-  /// a well-defined blank, never a fabricated 0 or NaN.
-  bool has_open = false;
+  /// `arrivals` / `shed` count the measurement window. `p99_response_ms` is
+  /// -1 when the window completed no query (a paused or fully shed system)
+  /// — a well-defined blank, never a fabricated 0 or NaN.
   double offered_qps = 0;
   int64_t arrivals = 0;
   int64_t shed = 0;
   double p99_response_ms = -1;
-  /// Control-plane columns, populated only for --control runs
-  /// (SweepResult::has_control). Windows/decisions are summed over the
-  /// run and averaged (rounded) across replications; `ctl_peak_concurrent`
-  /// and `ctl_budget_max_delay_ms` take the max across replications (a
-  /// budget breach in any replication must not be averaged away).
-  bool has_control = false;
+  /// Control plane (--control). Windows/decisions are summed over the run.
+  /// Migration counters reuse the resize machinery's accounting but
+  /// surface under ctl_* so a control run never emits scripted-resize
+  /// phase columns.
   int64_t ctl_windows = 0;
   int64_t ctl_slo_violations = 0;  ///< observation windows over the bound
   int64_t ctl_scale_outs = 0;
@@ -182,10 +177,9 @@ struct SweepPoint {
   int ctl_peak_concurrent = 0;  ///< max concurrently in-flight migrations
   int64_t ctl_budget_throttled = 0;  ///< budget reservations that delayed
   double ctl_budget_max_delay_ms = 0;
-  /// One controller actuation of the representative replication (rep 0);
-  /// reports print these as the per-decision timeline. Averaging decision
-  /// times across replications would fabricate timestamps no run produced,
-  /// so the timeline is representative, not aggregated.
+  /// One controller actuation; reports print these as the per-decision
+  /// timeline. A point keeps rep 0's timeline: averaging decision times
+  /// across replications would fabricate timestamps no run produced.
   struct ControlDecision {
     std::string kind;        ///< control::DecisionKindName
     double at_ms = 0;        ///< simulated actuation time
@@ -204,12 +198,15 @@ struct StrategyCurve {
   std::string note;
 };
 
-/// \brief A complete figure result.
+/// \brief A complete figure result. Which column groups it reports
+/// (faults, recovery, resize, open, control) follows from `config`'s specs;
+/// components follow from `has_components` (src/exp/columns.h).
 struct SweepResult {
   ExperimentConfig config;
   std::vector<StrategyCurve> curves;
-  /// True when the sweep ran with per-query component probes armed; the
-  /// comp_* columns of every point are meaningful (and reports print them).
+  /// True when the sweep ran with per-query component probes armed
+  /// (RunnerOptions::collect_components); reports then print the comp_*
+  /// columns of every point.
   bool has_components = false;
   /// Audit outcome (RunnerOptions::audit): live invariant checks summed
   /// across every replication, plus the cross-strategy result oracle's
@@ -223,20 +220,6 @@ struct SweepResult {
   /// First few violation/mismatch descriptions, prefixed with their origin
   /// replication or "oracle:".
   std::vector<std::string> audit_messages;
-  /// True when the sweep ran with a recovery plan armed; the recovery
-  /// columns of every point are meaningful (and reports print them).
-  bool has_recovery = false;
-  /// True when the sweep ran with an elastic-membership plan armed; the
-  /// resize columns of every point are meaningful (and reports print them).
-  bool has_resize = false;
-  /// True when the sweep ran with an open-system plan armed; the open
-  /// columns of every point are meaningful, reports print offered load in
-  /// place of MPL, and the oracle validates every extra relation too.
-  bool has_open = false;
-  /// True when the sweep ran with a closed-loop control plan armed; the
-  /// ctl_* columns of every point are meaningful (and reports print the
-  /// per-decision timeline).
-  bool has_control = false;
   /// True when a SIGINT/SIGTERM interrupt stopped the sweep early; only
   /// the sweep points whose replications all completed are present, and
   /// the manifest carries an `interrupted` marker.
@@ -248,13 +231,13 @@ struct SweepResult {
 /// measurement window, correlation outside [0, 1], empty or non-positive
 /// MPL list, empty strategy list, fault specs that do not parse or that
 /// target a node outside [0, num_processors), open specs that do not parse
-/// or combine with recovery, control specs that do not parse or combine
-/// with resize/recovery, rebalance or SLO hysteresis that can never trigger
-/// inside the run horizon, and non-positive or duplicate offered loads.
-/// Called
-/// by RunThroughputSweep and RunExplain after quick-mode is applied, so
-/// every entry point fails fast with a diagnostic instead of dividing by
-/// zero mid-sweep.
+/// or combine with recovery, open specs with extra relations combined with
+/// a resize plan whose slice count exceeds its physical nodes, control
+/// specs that do not parse or combine with resize/recovery, rebalance or
+/// SLO hysteresis that can never trigger inside the run horizon, and
+/// non-positive or duplicate offered loads. Called by RunThroughputSweep
+/// and RunExplain after quick-mode is applied, so every entry point fails
+/// fast with a diagnostic instead of dividing by zero mid-sweep.
 Status ValidateExperimentConfig(const ExperimentConfig& config);
 
 /// Builds a partitioning by strategy name ("range", "hash", "BERD",

@@ -4,6 +4,10 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <variant>
+#include <vector>
+
+#include "src/exp/columns.h"
 
 namespace declust::exp {
 
@@ -27,7 +31,8 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
 
   // Open sweeps are indexed by offered load (q/s), closed sweeps by MPL;
   // the closed header/rows stay byte-identical to the pre-open format.
-  os << std::setw(6) << (result.has_open ? "load" : "MPL");
+  const bool open = !result.config.open.empty();
+  os << std::setw(6) << (open ? "load" : "MPL");
   for (const auto& curve : result.curves) {
     os << std::setw(12) << (curve.strategy + " q/s");
   }
@@ -39,7 +44,7 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
   const size_t rows =
       result.curves.empty() ? 0 : result.curves[0].points.size();
   for (size_t r = 0; r < rows; ++r) {
-    if (result.has_open) {
+    if (open) {
       os << std::setw(6) << std::fixed << std::setprecision(0)
          << result.curves[0].points[r].offered_qps;
     } else {
@@ -55,171 +60,76 @@ void PrintThroughputTable(std::ostream& os, const SweepResult& result) {
     os << "\n";
   }
 
-  // Component breakdown at the top MPL: only present when the sweep ran
-  // with probes, so the default table stays byte-identical.
-  if (result.has_components) {
-    os << "components (mean ms/query @ top MPL):\n";
-    for (const auto& curve : result.curves) {
-      if (curve.points.empty()) continue;
-      const SweepPoint& p = curve.points.back();
-      os << "  " << curve.strategy << ": disk wait "
-         << std::fixed << std::setprecision(1) << p.comp_disk_wait_ms
-         << ", disk service " << p.comp_disk_service_ms << ", cpu "
-         << p.comp_cpu_ms << ", network " << p.comp_network_ms << ", queue "
-         << p.comp_queue_ms << ", unattributed " << p.comp_unattributed_ms
-         << "\n";
+  // Each armed group's text block; none is armed in a plain closed sweep,
+  // whose table stays the figure alone.
+  std::vector<const ColumnGroup*> blocks;
+  for (const ColumnGroup& group : ColumnGroups()) {
+    if (group.report != nullptr && group.armed(result)) {
+      blocks.push_back(&group);
     }
   }
-
-  // Open-system summary at the top offered load: arrivals vs completions
-  // and the shed count make saturation visible (throughput flattens while
-  // arrivals keep climbing). p99 of an idle window prints as a blank.
-  if (result.has_open) {
-    os << "open system: " << result.config.open << "\n";
-    for (const auto& curve : result.curves) {
-      if (curve.points.empty()) continue;
-      const SweepPoint& p = curve.points.back();
-      os << "  " << curve.strategy << " @ " << std::fixed
-         << std::setprecision(1) << p.offered_qps << " q/s offered: arrivals "
-         << p.arrivals << ", shed " << p.shed << ", p99 ";
-      if (p.p99_response_ms >= 0) {
-        os << p.p99_response_ms << " ms";
-      } else {
-        os << "-";
-      }
-      os << "\n";
-    }
-  }
-
-  // Fault-handling summary: only present when faults were injected, so the
-  // failure-free table stays byte-identical to the pre-fault format.
-  if (!result.config.faults.empty()) {
-    os << "faults: " << result.config.faults << "\n";
-    for (const auto& curve : result.curves) {
-      if (curve.points.empty()) continue;
-      const SweepPoint& p = curve.points.back();
-      os << "  " << curve.strategy << " @ MPL " << p.mpl
-         << ": imbalance " << std::fixed << std::setprecision(2)
-         << p.disk_imbalance << ", io_errors " << p.io_errors
-         << ", retries " << p.retries << ", failovers " << p.failovers
-         << ", timeouts " << p.timeouts << ", failed " << p.failed_queries
-         << "\n";
-    }
-  }
+  std::sort(blocks.begin(), blocks.end(),
+            [](const ColumnGroup* x, const ColumnGroup* y) {
+              return x->report_order < y->report_order;
+            });
+  for (const ColumnGroup* group : blocks) group->report(os, result);
 }
 
 void PrintCsv(std::ostream& os, const SweepResult& result) {
-  // The fault columns exist only in degraded runs, and the component
-  // columns only when the sweep ran with probes, so the plain failure-free
-  // CSV output stays byte-identical to the pre-fault/pre-obs format.
-  const bool faulty = !result.config.faults.empty();
-  const bool components = result.has_components;
-  const bool recovery = result.has_recovery;
-  const bool rz = result.has_resize;
-  const bool open = result.has_open;
-  const bool ctl = result.has_control;
-  // A resize plan with K membership events yields 2K+1 phases; every point
-  // of a sweep shares the plan, so the first point fixes the column count.
-  size_t rz_phases = 0;
-  if (rz) {
-    for (const auto& curve : result.curves) {
-      for (const auto& p : curve.points) {
-        rz_phases = std::max(rz_phases, p.resize_phase_qps.size());
+  // A group's columns exist only when it is armed, so a plain failure-free
+  // CSV keeps the pre-fault format. Phase columns pad every row to the
+  // sweep's longest vector.
+  struct Armed {
+    const ColumnGroup* group;
+    std::vector<size_t> phases;  // per PhaseColumn
+  };
+  std::vector<Armed> armed;
+  for (const ColumnGroup& group : ColumnGroups()) {
+    if (!group.armed(result)) continue;
+    Armed a{&group, std::vector<size_t>(group.phases.size(), 0)};
+    for (size_t c = 0; c < group.phases.size(); ++c) {
+      for (const auto& curve : result.curves) {
+        for (const auto& p : curve.points) {
+          a.phases[c] = std::max(a.phases[c], group.phases[c].at(p)->size());
+        }
       }
     }
+    armed.push_back(std::move(a));
   }
-  os << "figure,strategy,correlation,mpl,throughput_qps,throughput_ci95,"
-        "mean_response_ms,mean_response_ci95,p95_response_ms,"
-        "avg_processors,disk_utilization,cpu_utilization,completed";
-  if (faulty) {
-    os << ",disk_imbalance,io_errors,retries,timeouts,failovers,"
-          "failed_queries";
-  }
-  if (components) {
-    os << ",disk_wait_ms,disk_service_ms,cpu_ms,network_ms,queue_ms,"
-          "unattributed_ms";
-  }
-  if (recovery) {
-    os << ",fail_ms,rebuild_start_ms,restored_ms,rebuild_pages,"
-          "normal_qps,degraded_qps,rebuilding_qps,restored_qps,"
-          "normal_resp_ms,degraded_resp_ms,rebuilding_resp_ms,"
-          "restored_resp_ms";
-  }
-  if (rz) {
-    os << ",migrations,migrations_aborted,pages_migrated,"
-          "migration_redirects,rebalance_moves,final_members";
-    for (size_t ph = 0; ph < rz_phases; ++ph) {
-      os << ",rz_phase" << ph << "_qps";
+  os << "figure,strategy,correlation";
+  for (const Armed& a : armed) {
+    for (const Column& c : a.group->columns) {
+      if (c.csv != nullptr) os << ',' << c.csv;
     }
-    for (size_t ph = 0; ph < rz_phases; ++ph) {
-      os << ",rz_phase" << ph << "_resp_ms";
+    for (size_t c = 0; c < a.phases.size(); ++c) {
+      for (size_t ph = 0; ph < a.phases[c]; ++ph) {
+        os << ',' << PhaseName(a.group->phases[c].csv, ph);
+      }
     }
-  }
-  if (open) {
-    os << ",offered_qps,arrivals,shed,p99_response_ms";
-  }
-  if (ctl) {
-    os << ",ctl_windows,ctl_slo_violations,ctl_scale_outs,ctl_scale_ins,"
-          "ctl_pauses,ctl_resumes,ctl_tightens,ctl_relaxes,ctl_shed,"
-          "ctl_migrations,ctl_pages_migrated,ctl_final_members,"
-          "ctl_peak_concurrent,ctl_budget_throttled,ctl_budget_max_delay_ms";
   }
   os << "\n";
   for (const auto& curve : result.curves) {
     for (const auto& p : curve.points) {
       os << result.config.name << "," << curve.strategy << ","
-         << result.config.correlation << "," << p.mpl << ","
-         << p.throughput_qps << "," << p.throughput_ci95 << ","
-         << p.mean_response_ms << "," << p.mean_response_ci95 << ","
-         << p.p95_response_ms << ","
-         << p.avg_processors_used << ","
-         << p.disk_utilization << "," << p.cpu_utilization << ","
-         << p.completed;
-      if (faulty) {
-        os << "," << p.disk_imbalance << "," << p.io_errors << ","
-           << p.retries << "," << p.timeouts << "," << p.failovers << ","
-           << p.failed_queries;
-      }
-      if (components) {
-        os << "," << p.comp_disk_wait_ms << "," << p.comp_disk_service_ms
-           << "," << p.comp_cpu_ms << "," << p.comp_network_ms << ","
-           << p.comp_queue_ms << "," << p.comp_unattributed_ms;
-      }
-      if (recovery) {
-        os << "," << p.fail_ms << "," << p.rebuild_start_ms << ","
-           << p.restored_ms << "," << p.rebuild_pages;
-        for (int ph = 0; ph < 4; ++ph) os << "," << p.phase_qps[ph];
-        for (int ph = 0; ph < 4; ++ph) os << "," << p.phase_resp_ms[ph];
-      }
-      if (rz) {
-        os << "," << p.migrations << "," << p.migrations_aborted << ","
-           << p.pages_migrated << "," << p.migration_redirects << ","
-           << p.rebalance_moves << "," << p.final_members;
-        for (size_t ph = 0; ph < rz_phases; ++ph) {
-          os << "," << (ph < p.resize_phase_qps.size()
-                            ? p.resize_phase_qps[ph] : 0.0);
+         << result.config.correlation;
+      for (const Armed& a : armed) {
+        for (const Column& c : a.group->columns) {
+          if (c.csv == nullptr) continue;
+          os << ',';
+          std::visit(
+              [&](auto* v) {
+                // A never-measured value prints as a well-defined blank,
+                // never the -1 sentinel or a fabricated quantile.
+                if (!c.csv_blank_if_negative || *v >= 0) os << *v;
+              },
+              c.at(p));
         }
-        for (size_t ph = 0; ph < rz_phases; ++ph) {
-          os << "," << (ph < p.resize_phase_resp_ms.size()
-                            ? p.resize_phase_resp_ms[ph] : 0.0);
+        for (size_t c = 0; c < a.phases.size(); ++c) {
+          const std::vector<double>& v = *a.group->phases[c].at(p);
+          for (size_t ph = 0; ph < a.phases[c]; ++ph) {
+            os << ',' << (ph < v.size() ? v[ph] : 0.0);
+          }
         }
-      }
-      if (open) {
-        os << "," << p.offered_qps << "," << p.arrivals << "," << p.shed
-           << ",";
-        // An idle window has no p99: emit a well-defined blank field, never
-        // the -1 sentinel or a fabricated quantile.
-        if (p.p99_response_ms >= 0) os << p.p99_response_ms;
-      }
-      if (ctl) {
-        os << "," << p.ctl_windows << "," << p.ctl_slo_violations << ","
-           << p.ctl_scale_outs << "," << p.ctl_scale_ins << ","
-           << p.ctl_pauses << "," << p.ctl_resumes << ","
-           << p.ctl_tightens << "," << p.ctl_relaxes << ","
-           << p.ctl_shed << "," << p.ctl_migrations << ","
-           << p.ctl_pages_migrated << "," << p.ctl_final_members << ","
-           << p.ctl_peak_concurrent << "," << p.ctl_budget_throttled << ","
-           << p.ctl_budget_max_delay_ms;
       }
       os << "\n";
     }
@@ -230,12 +140,13 @@ void PrintGnuplotData(std::ostream& os, const SweepResult& result) {
   os << "# " << result.config.name << " (correlation "
      << result.config.correlation << ")\n";
   // Open sweeps plot against offered load; closed sweeps against MPL.
-  os << "# columns: " << (result.has_open ? "offered_qps" : "mpl")
+  const bool open = !result.config.open.empty();
+  os << "# columns: " << (open ? "offered_qps" : "mpl")
      << " throughput_qps ci95 mean_response_ms p95_ms\n";
   for (const auto& curve : result.curves) {
     os << "# strategy: " << curve.strategy << "\n";
     for (const auto& p : curve.points) {
-      if (result.has_open) {
+      if (open) {
         os << p.offered_qps;
       } else {
         os << p.mpl;

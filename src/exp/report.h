@@ -9,12 +9,14 @@
 
 namespace declust::exp {
 
-/// Prints a figure-style table: one row per MPL, one throughput column per
-/// strategy, plus per-strategy notes (grid shape, avg processors).
+/// Prints a figure-style table: one row per MPL (offered load for open
+/// runs), one throughput column per strategy, plus per-strategy notes (grid
+/// shape, avg processors), then the text block of every armed column group
+/// (components, open, faults, recovery, resize, control; see columns.h).
 void PrintThroughputTable(std::ostream& os, const SweepResult& result);
 
-/// Prints the same data as CSV (figure, strategy, mpl, qps, response_ms,
-/// processors).
+/// Prints the same data as CSV: figure, strategy and correlation, then the
+/// columns of every armed column group in table order (columns.h).
 void PrintCsv(std::ostream& os, const SweepResult& result);
 
 /// One-line comparison of two strategies at the highest MPL, e.g.

@@ -17,10 +17,10 @@
 
 #include "src/audit/oracle.h"
 #include "src/common/atomic_file.h"
-#include "src/common/stats.h"
 #include "src/common/thread_pool.h"
 #include "src/control/controller.h"
 #include "src/control/plan.h"
+#include "src/exp/columns.h"
 #include "src/exp/interrupt.h"
 #include "src/obs/manifest.h"
 #include "src/obs/trace.h"
@@ -54,7 +54,7 @@ void SharedCatalogSet::Done() {
   if (remaining_.fetch_sub(1) == 1) set_.reset();
 }
 
-Result<RepMetrics> RunSweepPointRep(
+Result<SweepPoint> RunSweepPointRep(
     const ExperimentConfig& config, const storage::Relation& relation,
     const decluster::Partitioning& partitioning,
     const workload::Workload& workload,
@@ -215,7 +215,8 @@ Result<RepMetrics> RunSweepPointRep(
   const double node_window = config.measure_ms * physical_nodes;
   const double disk_busy_mean = disk_busy_sum / physical_nodes;
 
-  RepMetrics m;
+  SweepPoint m;
+  m.mpl = mpl;
   m.throughput_qps = system.metrics().ThroughputQps(sim.now());
   m.mean_response_ms = system.metrics().response_ms().mean();
   m.p95_response_ms = system.metrics().ResponseQuantileMs(0.95);
@@ -232,7 +233,6 @@ Result<RepMetrics> RunSweepPointRep(
   m.failed_queries = fs.failed_queries;
   if (probe != nullptr && system.metrics().has_components()) {
     const engine::Metrics& met = system.metrics();
-    m.has_components = true;
     m.comp_disk_wait_ms = met.component_disk_wait().mean();
     m.comp_disk_service_ms = met.component_disk_service().mean();
     m.comp_cpu_ms =
@@ -243,7 +243,6 @@ Result<RepMetrics> RunSweepPointRep(
     m.comp_unattributed_ms = met.component_unattributed().mean();
   }
   if (coordinator != nullptr) {
-    m.has_recovery = true;
     const auto phases = coordinator->Phases(sim.now());
     for (int p = 0; p < recover::RecoveryCoordinator::kNumPhases; ++p) {
       const recover::PhaseWindow& w = phases[static_cast<size_t>(p)];
@@ -265,7 +264,6 @@ Result<RepMetrics> RunSweepPointRep(
     m.rebuilds_aborted = coordinator->rebuilds_aborted();
   }
   if (!config.open.empty()) {
-    m.has_open = true;
     m.arrivals = system.metrics().open_arrivals();
     m.shed = system.metrics().open_shed();
     // The nominal level rate when sweeping offered loads; the measured
@@ -281,7 +279,6 @@ Result<RepMetrics> RunSweepPointRep(
                             : -1;
   }
   if (controller != nullptr) {
-    m.has_control = true;
     m.ctl_windows = controller->windows();
     m.ctl_slo_violations = controller->slo_violation_windows();
     m.ctl_scale_outs = controller->scale_outs();
@@ -307,7 +304,6 @@ Result<RepMetrics> RunSweepPointRep(
   // Control runs share the migrator but report under ctl_* below; the
   // scripted-resize phase columns stay a --resize exclusive.
   if (migrator != nullptr && !config.resize.empty()) {
-    m.has_resize = true;
     const std::vector<resize::ResizePhaseWindow> phases =
         migrator->Phases(sim.now());
     m.resize_phase_qps.resize(phases.size(), 0.0);
@@ -353,297 +349,6 @@ Result<RepMetrics> RunSweepPointRep(
 
 namespace {
 
-/// Averages the replications of one sweep point in rep order (fixed
-/// summation order keeps the floating-point result identical for any job
-/// count).
-SweepPoint AggregatePoint(int mpl, const RepMetrics* reps, int num_reps) {
-  Accumulator qps, mean_resp, p95, procs, disk, cpu, completed;
-  Accumulator imbalance, io_errors, retries, timeouts, failovers, failed;
-  Accumulator c_dwait, c_dserv, c_cpu, c_net, c_queue, c_unattr;
-  Accumulator ph_qps[4], ph_resp[4];
-  // Boundary timestamps average only the replications that reached them
-  // (-1 sentinels would poison the mean).
-  Accumulator fail_t, rb_start_t, restored_t;
-  Accumulator rb_pages, rb_done, rb_abort;
-  // Element-wise per-phase accumulators, sized on first use (every rep of a
-  // point runs the same plan, so the phase counts agree).
-  std::vector<Accumulator> rz_qps, rz_resp;
-  Accumulator rz_migrations, rz_aborts, rz_pages, rz_redirects, rz_moves;
-  Accumulator rz_members;
-  // Open-system columns: p99 averages only the replications whose window
-  // completed queries (-1 sentinels would poison the mean, exactly like the
-  // recovery boundary timestamps above).
-  Accumulator op_offered, op_arrivals, op_shed, op_p99;
-  // Controller columns: counters average like every other count; the
-  // concurrency peak and worst budget delay take the MAX across reps (a
-  // mean would understate the bound the acceptance criteria pin).
-  Accumulator ct_windows, ct_viol, ct_outs, ct_ins, ct_pauses, ct_resumes;
-  Accumulator ct_tightens, ct_relaxes, ct_shed, ct_migrations, ct_pages;
-  Accumulator ct_members, ct_throttled;
-  int ct_peak = 0;
-  double ct_max_delay = 0;
-  bool has_components = false;
-  bool has_recovery = false;
-  bool has_resize = false;
-  bool has_open = false;
-  bool has_control = false;
-  for (int r = 0; r < num_reps; ++r) {
-    qps.Add(reps[r].throughput_qps);
-    mean_resp.Add(reps[r].mean_response_ms);
-    p95.Add(reps[r].p95_response_ms);
-    procs.Add(reps[r].avg_processors_used);
-    disk.Add(reps[r].disk_utilization);
-    cpu.Add(reps[r].cpu_utilization);
-    completed.Add(static_cast<double>(reps[r].completed));
-    imbalance.Add(reps[r].disk_imbalance);
-    io_errors.Add(static_cast<double>(reps[r].io_errors));
-    retries.Add(static_cast<double>(reps[r].retries));
-    timeouts.Add(static_cast<double>(reps[r].timeouts));
-    failovers.Add(static_cast<double>(reps[r].failovers));
-    failed.Add(static_cast<double>(reps[r].failed_queries));
-    if (reps[r].has_components) {
-      has_components = true;
-      c_dwait.Add(reps[r].comp_disk_wait_ms);
-      c_dserv.Add(reps[r].comp_disk_service_ms);
-      c_cpu.Add(reps[r].comp_cpu_ms);
-      c_net.Add(reps[r].comp_network_ms);
-      c_queue.Add(reps[r].comp_queue_ms);
-      c_unattr.Add(reps[r].comp_unattributed_ms);
-    }
-    if (reps[r].has_recovery) {
-      has_recovery = true;
-      for (int p = 0; p < 4; ++p) {
-        ph_qps[p].Add(reps[r].phase_qps[p]);
-        ph_resp[p].Add(reps[r].phase_resp_ms[p]);
-      }
-      if (reps[r].fail_ms >= 0) fail_t.Add(reps[r].fail_ms);
-      if (reps[r].rebuild_start_ms >= 0) {
-        rb_start_t.Add(reps[r].rebuild_start_ms);
-      }
-      if (reps[r].restored_ms >= 0) restored_t.Add(reps[r].restored_ms);
-      rb_pages.Add(static_cast<double>(reps[r].rebuild_pages));
-      rb_done.Add(static_cast<double>(reps[r].rebuilds_completed));
-      rb_abort.Add(static_cast<double>(reps[r].rebuilds_aborted));
-    }
-    if (reps[r].has_resize) {
-      has_resize = true;
-      if (rz_qps.size() < reps[r].resize_phase_qps.size()) {
-        rz_qps.resize(reps[r].resize_phase_qps.size());
-        rz_resp.resize(reps[r].resize_phase_qps.size());
-      }
-      for (size_t p = 0; p < reps[r].resize_phase_qps.size(); ++p) {
-        rz_qps[p].Add(reps[r].resize_phase_qps[p]);
-        rz_resp[p].Add(reps[r].resize_phase_resp_ms[p]);
-      }
-      rz_migrations.Add(static_cast<double>(reps[r].migrations));
-      rz_aborts.Add(static_cast<double>(reps[r].migrations_aborted));
-      rz_pages.Add(static_cast<double>(reps[r].pages_migrated));
-      rz_redirects.Add(static_cast<double>(reps[r].migration_redirects));
-      rz_moves.Add(static_cast<double>(reps[r].rebalance_moves));
-      rz_members.Add(static_cast<double>(reps[r].final_members));
-    }
-    if (reps[r].has_open) {
-      has_open = true;
-      op_offered.Add(reps[r].offered_qps);
-      op_arrivals.Add(static_cast<double>(reps[r].arrivals));
-      op_shed.Add(static_cast<double>(reps[r].shed));
-      if (reps[r].p99_response_ms >= 0) {
-        op_p99.Add(reps[r].p99_response_ms);
-      }
-    }
-    if (reps[r].has_control) {
-      has_control = true;
-      ct_windows.Add(static_cast<double>(reps[r].ctl_windows));
-      ct_viol.Add(static_cast<double>(reps[r].ctl_slo_violations));
-      ct_outs.Add(static_cast<double>(reps[r].ctl_scale_outs));
-      ct_ins.Add(static_cast<double>(reps[r].ctl_scale_ins));
-      ct_pauses.Add(static_cast<double>(reps[r].ctl_pauses));
-      ct_resumes.Add(static_cast<double>(reps[r].ctl_resumes));
-      ct_tightens.Add(static_cast<double>(reps[r].ctl_tightens));
-      ct_relaxes.Add(static_cast<double>(reps[r].ctl_relaxes));
-      ct_shed.Add(static_cast<double>(reps[r].ctl_shed));
-      ct_migrations.Add(static_cast<double>(reps[r].ctl_migrations));
-      ct_pages.Add(static_cast<double>(reps[r].ctl_pages_migrated));
-      ct_members.Add(static_cast<double>(reps[r].ctl_final_members));
-      ct_throttled.Add(static_cast<double>(reps[r].ctl_budget_throttled));
-      ct_peak = std::max(ct_peak, reps[r].ctl_peak_concurrent);
-      ct_max_delay = std::max(ct_max_delay, reps[r].ctl_budget_max_delay_ms);
-    }
-  }
-  SweepPoint point;
-  point.mpl = mpl;
-  point.throughput_qps = qps.mean();
-  point.throughput_ci95 = qps.ConfidenceHalfWidth95();
-  point.mean_response_ms = mean_resp.mean();
-  point.mean_response_ci95 = mean_resp.ConfidenceHalfWidth95();
-  point.p95_response_ms = p95.mean();
-  point.avg_processors_used = procs.mean();
-  point.disk_utilization = disk.mean();
-  point.cpu_utilization = cpu.mean();
-  point.completed = std::llround(completed.mean());
-  point.disk_imbalance = imbalance.mean();
-  point.io_errors = std::llround(io_errors.mean());
-  point.retries = std::llround(retries.mean());
-  point.timeouts = std::llround(timeouts.mean());
-  point.failovers = std::llround(failovers.mean());
-  point.failed_queries = std::llround(failed.mean());
-  if (has_components) {
-    point.comp_disk_wait_ms = c_dwait.mean();
-    point.comp_disk_service_ms = c_dserv.mean();
-    point.comp_cpu_ms = c_cpu.mean();
-    point.comp_network_ms = c_net.mean();
-    point.comp_queue_ms = c_queue.mean();
-    point.comp_unattributed_ms = c_unattr.mean();
-  }
-  if (has_recovery) {
-    point.has_recovery = true;
-    for (int p = 0; p < 4; ++p) {
-      point.phase_qps[p] = ph_qps[p].mean();
-      point.phase_resp_ms[p] = ph_resp[p].mean();
-    }
-    point.fail_ms = fail_t.count() > 0 ? fail_t.mean() : -1;
-    point.rebuild_start_ms = rb_start_t.count() > 0 ? rb_start_t.mean() : -1;
-    point.restored_ms = restored_t.count() > 0 ? restored_t.mean() : -1;
-    point.rebuild_pages = std::llround(rb_pages.mean());
-    point.rebuilds_completed = std::llround(rb_done.mean());
-    point.rebuilds_aborted = std::llround(rb_abort.mean());
-  }
-  if (has_resize) {
-    point.has_resize = true;
-    point.resize_phase_qps.resize(rz_qps.size(), 0.0);
-    point.resize_phase_resp_ms.resize(rz_qps.size(), 0.0);
-    for (size_t p = 0; p < rz_qps.size(); ++p) {
-      point.resize_phase_qps[p] = rz_qps[p].mean();
-      point.resize_phase_resp_ms[p] = rz_resp[p].mean();
-    }
-    point.migrations = std::llround(rz_migrations.mean());
-    point.migrations_aborted = std::llround(rz_aborts.mean());
-    point.pages_migrated = std::llround(rz_pages.mean());
-    point.migration_redirects = std::llround(rz_redirects.mean());
-    point.rebalance_moves = std::llround(rz_moves.mean());
-    point.final_members = static_cast<int>(std::llround(rz_members.mean()));
-  }
-  if (has_open) {
-    point.has_open = true;
-    point.offered_qps = op_offered.mean();
-    point.arrivals = std::llround(op_arrivals.mean());
-    point.shed = std::llround(op_shed.mean());
-    point.p99_response_ms = op_p99.empty() ? -1 : op_p99.mean();
-  }
-  if (has_control) {
-    point.has_control = true;
-    point.ctl_windows = std::llround(ct_windows.mean());
-    point.ctl_slo_violations = std::llround(ct_viol.mean());
-    point.ctl_scale_outs = std::llround(ct_outs.mean());
-    point.ctl_scale_ins = std::llround(ct_ins.mean());
-    point.ctl_pauses = std::llround(ct_pauses.mean());
-    point.ctl_resumes = std::llround(ct_resumes.mean());
-    point.ctl_tightens = std::llround(ct_tightens.mean());
-    point.ctl_relaxes = std::llround(ct_relaxes.mean());
-    point.ctl_shed = std::llround(ct_shed.mean());
-    point.ctl_migrations = std::llround(ct_migrations.mean());
-    point.ctl_pages_migrated = std::llround(ct_pages.mean());
-    point.ctl_final_members = static_cast<int>(std::llround(ct_members.mean()));
-    point.ctl_peak_concurrent = ct_peak;
-    point.ctl_budget_throttled = std::llround(ct_throttled.mean());
-    point.ctl_budget_max_delay_ms = ct_max_delay;
-    // The timeline is rep 0's, not an aggregate: averaging decision times
-    // across replications would fabricate timestamps no run produced.
-    point.ctl_decisions = reps[0].ctl_decisions;
-  }
-  return point;
-}
-
-/// Canonical rendering of one aggregated point, digested into the run
-/// manifest so a CSV artifact can be matched to the manifest that produced
-/// it. %.17g round-trips doubles exactly.
-std::string PointDigestKey(const std::string& strategy, const SweepPoint& p) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "%s|mpl=%d|qps=%.17g|resp=%.17g|p95=%.17g|procs=%.17g|"
-                "disk=%.17g|cpu=%.17g|done=%lld|imb=%.17g|"
-                "f=%lld/%lld/%lld/%lld/%lld",
-                strategy.c_str(), p.mpl, p.throughput_qps,
-                p.mean_response_ms, p.p95_response_ms,
-                p.avg_processors_used, p.disk_utilization, p.cpu_utilization,
-                static_cast<long long>(p.completed), p.disk_imbalance,
-                static_cast<long long>(p.io_errors),
-                static_cast<long long>(p.retries),
-                static_cast<long long>(p.timeouts),
-                static_cast<long long>(p.failovers),
-                static_cast<long long>(p.failed_queries));
-  std::string key(buf);
-  if (p.has_recovery) {
-    // Recovery fields join the digest only when armed, so failure-free
-    // manifests keep their exact pre-recovery fingerprints.
-    char rbuf[640];
-    std::snprintf(rbuf, sizeof(rbuf),
-                  "|rec=%.17g/%.17g/%.17g|pq=%.17g/%.17g/%.17g/%.17g|"
-                  "pr=%.17g/%.17g/%.17g/%.17g|pages=%lld|rb=%lld/%lld",
-                  p.fail_ms, p.rebuild_start_ms, p.restored_ms,
-                  p.phase_qps[0], p.phase_qps[1], p.phase_qps[2],
-                  p.phase_qps[3], p.phase_resp_ms[0], p.phase_resp_ms[1],
-                  p.phase_resp_ms[2], p.phase_resp_ms[3],
-                  static_cast<long long>(p.rebuild_pages),
-                  static_cast<long long>(p.rebuilds_completed),
-                  static_cast<long long>(p.rebuilds_aborted));
-    key += rbuf;
-  }
-  if (p.has_resize) {
-    // Resize fields (variable phase count) join the digest only when an
-    // elastic plan is armed, so static-membership manifests keep their
-    // exact pre-resize fingerprints.
-    char zbuf[256];
-    std::snprintf(zbuf, sizeof(zbuf),
-                  "|rz=%lld/%lld/%lld/%lld/%lld|mem=%d",
-                  static_cast<long long>(p.migrations),
-                  static_cast<long long>(p.migrations_aborted),
-                  static_cast<long long>(p.pages_migrated),
-                  static_cast<long long>(p.migration_redirects),
-                  static_cast<long long>(p.rebalance_moves), p.final_members);
-    key += zbuf;
-    for (size_t i = 0; i < p.resize_phase_qps.size(); ++i) {
-      std::snprintf(zbuf, sizeof(zbuf), "|z%zu=%.17g/%.17g", i,
-                    p.resize_phase_qps[i], p.resize_phase_resp_ms[i]);
-      key += zbuf;
-    }
-  }
-  if (p.has_open) {
-    // Open-system fields join the digest only when an open plan is armed,
-    // so closed-loop manifests keep their exact pre-open fingerprints.
-    char obuf[192];
-    std::snprintf(obuf, sizeof(obuf),
-                  "|open=%.17g|arr=%lld|shed=%lld|p99=%.17g",
-                  p.offered_qps, static_cast<long long>(p.arrivals),
-                  static_cast<long long>(p.shed), p.p99_response_ms);
-    key += obuf;
-  }
-  if (p.has_control) {
-    // Controller fields join the digest only when a control plan is armed,
-    // so uncontrolled manifests keep their exact pre-control fingerprints.
-    char cbuf[320];
-    std::snprintf(cbuf, sizeof(cbuf),
-                  "|ctl=%lld/%lld|act=%lld/%lld/%lld/%lld/%lld/%lld|"
-                  "cshed=%lld|cmig=%lld/%lld/%d/%d|bud=%lld/%.17g",
-                  static_cast<long long>(p.ctl_windows),
-                  static_cast<long long>(p.ctl_slo_violations),
-                  static_cast<long long>(p.ctl_scale_outs),
-                  static_cast<long long>(p.ctl_scale_ins),
-                  static_cast<long long>(p.ctl_pauses),
-                  static_cast<long long>(p.ctl_resumes),
-                  static_cast<long long>(p.ctl_tightens),
-                  static_cast<long long>(p.ctl_relaxes),
-                  static_cast<long long>(p.ctl_shed),
-                  static_cast<long long>(p.ctl_migrations),
-                  static_cast<long long>(p.ctl_pages_migrated),
-                  p.ctl_final_members, p.ctl_peak_concurrent,
-                  static_cast<long long>(p.ctl_budget_throttled),
-                  p.ctl_budget_max_delay_ms);
-    key += cbuf;
-  }
-  return key;
-}
-
 /// Joins numeric values as a JSON array token for a manifest param.
 template <typename T>
 std::string JsonArray(const std::vector<T>& values, bool quote = false) {
@@ -681,23 +386,20 @@ obs::Manifest BuildSweepManifest(const SweepResult& result, int jobs) {
       {"mpls", JsonArray(cfg.mpls)},
       {"components", result.has_components ? "true" : "false"},
   };
-  // Recovery / interrupt markers only appear when applicable, so ordinary
-  // manifests stay byte-identical to their pre-recovery form.
-  if (!cfg.recovery.empty()) {
-    manifest.params.push_back({"recovery", '"' + cfg.recovery + '"'});
+  // Mode specs and the interrupt marker only appear when set, so ordinary
+  // manifests stay byte-identical to their pre-recovery form. The specs
+  // keep the order the manifest has always listed them in; offered loads
+  // exist only under an open spec.
+  const std::pair<const char*, const std::string*> specs[] = {
+      {"recovery", &cfg.recovery},
+      {"resize", &cfg.resize},
+      {"control", &cfg.control},
+      {"open", &cfg.open}};
+  for (const auto& [key, spec] : specs) {
+    if (!spec->empty()) manifest.params.push_back({key, '"' + *spec + '"'});
   }
-  if (!cfg.resize.empty()) {
-    manifest.params.push_back({"resize", '"' + cfg.resize + '"'});
-  }
-  if (!cfg.control.empty()) {
-    manifest.params.push_back({"control", '"' + cfg.control + '"'});
-  }
-  if (!cfg.open.empty()) {
-    manifest.params.push_back({"open", '"' + cfg.open + '"'});
-    if (!cfg.offered_loads.empty()) {
-      manifest.params.push_back({"offered_loads",
-                                 JsonArray(cfg.offered_loads)});
-    }
+  if (!cfg.offered_loads.empty()) {
+    manifest.params.push_back({"offered_loads", JsonArray(cfg.offered_loads)});
   }
   if (result.interrupted) {
     manifest.params.push_back({"interrupted", "true"});
@@ -705,9 +407,9 @@ obs::Manifest BuildSweepManifest(const SweepResult& result, int jobs) {
   std::string all;
   for (const auto& curve : result.curves) {
     for (const auto& p : curve.points) {
-      const std::string key = PointDigestKey(curve.strategy, p);
+      const std::string key = PointDigestKey(result, curve.strategy, p);
       std::string point_name;
-      if (p.has_open) {
+      if (!cfg.open.empty()) {
         char nb[96];
         std::snprintf(nb, sizeof(nb), "%s/load=%g", curve.strategy.c_str(),
                       p.offered_qps);
@@ -832,7 +534,7 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
   const int reps = std::max(1, config.repeats);
   const size_t num_jobs =
       num_strategies * num_mpls * static_cast<size_t>(reps);
-  std::vector<RepMetrics> rep_metrics(num_jobs);
+  std::vector<SweepPoint> rep_metrics(num_jobs);
   std::vector<Status> rep_status(num_jobs, Status::OK());
   // Set (by the owning worker only) when a pending interrupt made the job
   // exit without simulating; the point it belongs to is dropped at assembly.
@@ -986,10 +688,6 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
   SweepResult result;
   result.config = config;
   result.has_components = options.collect_components;
-  result.has_recovery = !config.recovery.empty();
-  result.has_resize = !config.resize.empty();
-  result.has_open = open_mode;
-  result.has_control = !config.control.empty();
   result.interrupted = interrupted;
   // On an interrupted run an MPL row joins the result only when every
   // replication of every strategy at that MPL finished: a partial aggregate
@@ -1009,8 +707,8 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
     curve.note = partitionings[s]->DiagnosticNote();
     for (size_t m = 0; m < num_mpls; ++m) {
       if (mpl_complete[m] == 0) continue;
-      curve.points.push_back(AggregatePoint(
-          level_value(m), &rep_metrics[job_index(s, m, 0)], reps));
+      curve.points.push_back(
+          AggregatePoint(&rep_metrics[job_index(s, m, 0)], reps));
     }
     result.curves.push_back(std::move(curve));
   }
@@ -1088,8 +786,8 @@ Result<SweepResult> RunThroughputSweep(const ExperimentConfig& raw_config,
   return result;
 }
 
-Status RunExplain(const ExperimentConfig& raw_config,
-                  const ExplainOptions& options) {
+Result<SweepPoint> RunExplain(const ExperimentConfig& raw_config,
+                              const ExplainOptions& options) {
   const ExperimentConfig config = ApplyQuickMode(raw_config);
   DECLUST_RETURN_NOT_OK(ValidateExperimentConfig(config));
 
@@ -1119,14 +817,14 @@ Status RunExplain(const ExperimentConfig& raw_config,
   obs::Tracer tracer;
   obs::Probe probe(&tracer);
   std::string metrics_json;
-  DECLUST_RETURN_NOT_OK(
+  DECLUST_ASSIGN_OR_RETURN(
+      SweepPoint point,
       RunSweepPointRep(config, relation, *partitioning, wl,
                        config.open.empty() ? config.mpls.front() : 0,
                        /*rep=*/0, &probe,
                        options.metrics_json_path.empty() ? nullptr
                                                          : &metrics_json,
-                       /*auditor=*/nullptr, extra)
-          .status());
+                       /*auditor=*/nullptr, extra));
 
   // Render in memory, publish with WriteFileAtomic: a crash or interrupt
   // mid-explain can never leave a truncated artifact at the target path.
@@ -1151,7 +849,7 @@ Status RunExplain(const ExperimentConfig& raw_config,
         write_file(options.metrics_json_path,
                    [&](std::ostream& os) { os << metrics_json; }));
   }
-  return Status::OK();
+  return point;
 }
 
 Result<audit::DifferentialReport> RunAuditDifferential(
@@ -1191,7 +889,7 @@ Result<audit::DifferentialReport> RunAuditDifferential(
     std::string all;
     for (const auto& curve : res.curves) {
       for (const auto& p : curve.points) {
-        all += PointDigestKey(curve.strategy, p);
+        all += PointDigestKey(res, curve.strategy, p);
         all += '\n';
       }
     }

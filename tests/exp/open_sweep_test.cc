@@ -75,12 +75,33 @@ TEST(OpenSweepTest, ValidationRejectsBadOpenConfigs) {
   EXPECT_TRUE(ValidateExperimentConfig(cfg).ok());
 }
 
+TEST(OpenSweepTest, ValidationRejectsExtraRelationsUnderASlicedResize) {
+  // Extra relations keep one fragment per physical disk, so a resize plan
+  // whose slices:N exceeds its node count would fail every replication's
+  // catalog build; validation refuses it before any input is built.
+  ExperimentConfig cfg = SmallConfig();
+  cfg.open = "rate:150;relation:card=5000,weight=1";
+  cfg.resize = "slices:32;add:node8@t=1s;remove:node8@t=2s";
+  const Status st = ValidateExperimentConfig(cfg);
+  ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("open-system spec"), std::string::npos);
+  EXPECT_NE(st.message().find("resize spec"), std::string::npos);
+  EXPECT_TRUE(RunThroughputSweep(cfg, RunnerOptions{})
+                  .status()
+                  .IsInvalidArgument());
+  // Either alone, or the pair without the slice override, is fine.
+  cfg.resize = "add:node8@t=1s;remove:node8@t=2s";
+  EXPECT_TRUE(ValidateExperimentConfig(cfg).ok());
+  cfg.open = "rate:150";
+  cfg.resize = "slices:32;add:node8@t=1s;remove:node8@t=2s";
+  EXPECT_TRUE(ValidateExperimentConfig(cfg).ok());
+}
+
 TEST(OpenSweepTest, ClosedRunKeepsThePreOpenFormat) {
   RunnerOptions opts;
   opts.jobs = 1;
   auto result = RunThroughputSweep(SmallConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->has_open);
   const std::string csv = CsvOf(*result);
   // No open columns leak into runs that never armed the subsystem.
   EXPECT_EQ(csv.find("offered_qps"), std::string::npos);
@@ -93,7 +114,6 @@ TEST(OpenSweepTest, OpenRunSweepsTheOfferedLoadGrid) {
   opts.jobs = 1;
   auto result = RunThroughputSweep(OpenConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(result->has_open);
   const std::string csv = CsvOf(*result);
   EXPECT_NE(csv.find("offered_qps"), std::string::npos);
   EXPECT_NE(csv.find("p99_response_ms"), std::string::npos);
@@ -101,7 +121,6 @@ TEST(OpenSweepTest, OpenRunSweepsTheOfferedLoadGrid) {
   ASSERT_EQ(result->curves[0].points.size(), 2u);
   const SweepPoint& lo = result->curves[0].points[0];
   const SweepPoint& hi = result->curves[0].points[1];
-  ASSERT_TRUE(lo.has_open);
   EXPECT_EQ(lo.offered_qps, 30.0);
   EXPECT_EQ(hi.offered_qps, 60.0);
   // Poisson arrivals at the offered rate over the measurement window.

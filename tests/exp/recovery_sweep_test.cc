@@ -65,7 +65,6 @@ TEST(RecoverySweepTest, FailureFreeCsvKeepsThePreRecoveryFormat) {
   opts.jobs = 1;
   auto result = RunThroughputSweep(SmallConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->has_recovery);
   const std::string csv = CsvOf(*result);
   // No recovery columns leak into runs that never armed the subsystem.
   EXPECT_EQ(csv.find("fail_ms"), std::string::npos);
@@ -77,7 +76,6 @@ TEST(RecoverySweepTest, RecoveryRunCarriesPhaseColumnsAndBoundaries) {
   opts.jobs = 1;
   auto result = RunThroughputSweep(RecoveryConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(result->has_recovery);
   const std::string csv = CsvOf(*result);
   EXPECT_NE(csv.find("fail_ms"), std::string::npos);
   EXPECT_NE(csv.find("rebuilding_qps"), std::string::npos);
@@ -85,7 +83,6 @@ TEST(RecoverySweepTest, RecoveryRunCarriesPhaseColumnsAndBoundaries) {
   ASSERT_EQ(result->curves.size(), 1u);
   ASSERT_EQ(result->curves[0].points.size(), 1u);
   const SweepPoint& p = result->curves[0].points[0];
-  ASSERT_TRUE(p.has_recovery);
   EXPECT_DOUBLE_EQ(p.fail_ms, 800.0);
   EXPECT_DOUBLE_EQ(p.rebuild_start_ms, 1'400.0);
   EXPECT_GT(p.restored_ms, p.rebuild_start_ms);

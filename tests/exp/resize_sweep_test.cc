@@ -78,7 +78,6 @@ TEST(ResizeSweepTest, StaticMembershipCsvKeepsThePreResizeFormat) {
   opts.jobs = 1;
   auto result = RunThroughputSweep(SmallConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->has_resize);
   const std::string csv = CsvOf(*result);
   // No resize columns leak into runs that never armed the subsystem.
   EXPECT_EQ(csv.find("rz_phase"), std::string::npos);
@@ -91,7 +90,6 @@ TEST(ResizeSweepTest, ResizeRunCarriesPhaseColumnsAndCounters) {
   opts.jobs = 1;
   auto result = RunThroughputSweep(ResizeConfig(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(result->has_resize);
   const std::string csv = CsvOf(*result);
   EXPECT_NE(csv.find("migrations"), std::string::npos);
   EXPECT_NE(csv.find("final_members"), std::string::npos);
@@ -100,7 +98,6 @@ TEST(ResizeSweepTest, ResizeRunCarriesPhaseColumnsAndCounters) {
   ASSERT_EQ(result->curves.size(), 1u);
   ASSERT_EQ(result->curves[0].points.size(), 1u);
   const SweepPoint& p = result->curves[0].points[0];
-  ASSERT_TRUE(p.has_resize);
   // K = 2 membership events -> 5 phases; the node bounced out and back, so
   // its slice migrated out and home again.
   ASSERT_EQ(p.resize_phase_qps.size(), 5u);

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/exp/columns.h"
 #include "src/exp/experiment.h"
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
@@ -34,41 +35,18 @@ ExperimentConfig SmallConfig() {
   return cfg;
 }
 
-/// Every RepMetrics field a resize or control replication fills, rendered
-/// exactly (%.17g round-trips doubles).
-std::string Render(const RepMetrics& m) {
-  std::ostringstream os;
-  const auto num = [&](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g,", v);
-    os << buf;
-  };
-  for (double v : {m.throughput_qps, m.mean_response_ms, m.p95_response_ms,
-                   m.avg_processors_used, m.disk_utilization,
-                   m.cpu_utilization, m.disk_imbalance,
-                   m.ctl_budget_max_delay_ms}) {
-    num(v);
-  }
-  for (int64_t v : {m.completed, m.io_errors, m.retries, m.timeouts,
-                    m.failovers, m.failed_queries, m.migrations,
-                    m.migrations_aborted, m.pages_migrated,
-                    m.migration_redirects, m.rebalance_moves, m.ctl_windows,
-                    m.ctl_slo_violations, m.ctl_scale_outs, m.ctl_scale_ins,
-                    m.ctl_pauses, m.ctl_resumes, m.ctl_migrations,
-                    m.ctl_pages_migrated, m.ctl_budget_throttled}) {
-    os << v << ',';
-  }
-  os << m.final_members << ',' << m.ctl_final_members << ','
-     << m.ctl_peak_concurrent << '|';
-  for (size_t p = 0; p < m.resize_phase_qps.size(); ++p) {
-    num(m.resize_phase_qps[p]);
-    num(m.resize_phase_resp_ms[p]);
-  }
+/// A replication as the run manifest digests it, plus the controller's
+/// decision timeline, which no digest covers.
+std::string Render(const ExperimentConfig& cfg, const SweepPoint& m) {
+  SweepResult result;
+  result.config = cfg;
+  std::string out = PointDigestKey(result, cfg.strategies[0], m);
   for (const auto& d : m.ctl_decisions) {
-    os << d.kind << '@';
-    num(d.at_ms);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "|%s@%.17g", d.kind.c_str(), d.at_ms);
+    out += buf;
   }
-  return os.str();
+  return out;
 }
 
 /// Runs the config's reps of its one point in order against one shared set
@@ -96,7 +74,8 @@ int64_t ExpectSharedRepsMatchStandalone(const ExperimentConfig& cfg) {
     EXPECT_TRUE(with_shared.ok()) << with_shared.status().ToString();
     EXPECT_TRUE(standalone.ok()) << standalone.status().ToString();
     if (!with_shared.ok() || !standalone.ok()) return migrations;
-    EXPECT_EQ(Render(*with_shared), Render(*standalone)) << "rep " << rep;
+    EXPECT_EQ(Render(cfg, *with_shared), Render(cfg, *standalone))
+        << "rep " << rep;
     migrations += with_shared->migrations + with_shared->ctl_migrations;
   }
   return migrations;

@@ -120,6 +120,11 @@ jobs_diff --resize --resize 'add:node8@t=1s;remove:node8@t=2s'
 # depend on which worker ran a replication.
 OPEN_SPEC='rate:150;zipf:0.8;relation:card=5000,weight=1;cap:64'
 jobs_diff --open --open "$OPEN_SPEC" --offered 60,120
+# Six of the seven metric column groups on every point (all but control):
+# components, open with a second relation, resize and faults at once.
+jobs_diff --six-groups --components --open "$OPEN_SPEC" --offered 60,120 \
+  --resize 'add:node8@t=1s;remove:node8@t=2s' \
+  --faults 'io:node3@t=0,rate=0.01'
 # Control plane: SLO windows, elastic membership actions, budgeted
 # concurrent migrations and admission degradation, all mutating shared
 # state from calendar events mid-run.

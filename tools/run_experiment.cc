@@ -13,12 +13,10 @@
 #include "src/common/atomic_file.h"
 #include "src/common/parse.h"
 #include "src/control/plan.h"
-#include "src/exp/control.h"
+#include "src/exp/columns.h"
 #include "src/exp/degraded.h"
 #include "src/exp/interrupt.h"
-#include "src/exp/recovery.h"
 #include "src/exp/report.h"
-#include "src/exp/resize.h"
 #include "src/exp/runner.h"
 #include "src/recover/plan.h"
 #include "src/resize/plan.h"
@@ -73,7 +71,7 @@ void Usage() {
       "                     cap; excess arrivals are shed). Replaces the\n"
       "                     closed terminals with Poisson/burst arrivals;\n"
       "                     --mpls is ignored, the sweep levels come from\n"
-      "                     --offered. Incompatible with --recovery/--resize\n"
+      "                     --offered. Incompatible with --recovery\n"
       "  --control SPEC     closed-loop control plan, ';'-separated items:\n"
       "                     slo:pQQ<Bms[,every=D][,settle=K][,cooldown=C]\n"
       "                     [,low=L] (QQ one of 50/95/99) |\n"
@@ -109,7 +107,8 @@ void Usage() {
       "  --manifest FILE    write a run manifest (build, seed, params,\n"
       "                     per-point metric digests) as JSON\n"
       "  --trace FILE       write a Chrome trace_event JSON of one traced\n"
-      "                     replication (first strategy, first MPL)\n"
+      "                     replication (first strategy at its first MPL\n"
+      "                     or offered load)\n"
       "  --trace-csv FILE   same trace as a flat CSV span table\n"
       "  --metrics-json FILE  write the traced replication's full metrics\n"
       "                     registry and simulator counters as JSON\n";
@@ -381,13 +380,14 @@ int main(int argc, char** argv) {
                        !explain_opts.trace_csv_path.empty() ||
                        !explain_opts.metrics_json_path.empty();
   if (explain) {
-    const Status st = exp::RunExplain(cfg, explain_opts);
-    if (!st.ok()) {
-      std::cerr << "explain run failed: " << st.ToString() << "\n";
+    const auto traced = exp::RunExplain(cfg, explain_opts);
+    if (!traced.ok()) {
+      std::cerr << "explain run failed: " << traced.status().ToString()
+                << "\n";
       return 1;
     }
-    std::cerr << "explain: traced " << cfg.strategies.front() << " @ MPL "
-              << cfg.mpls.front() << "\n";
+    std::cerr << "explain: traced " << cfg.strategies.front() << " @ "
+              << exp::LevelLabel(cfg, *traced) << "\n";
   }
 
   if (degraded >= 0) {
@@ -430,9 +430,6 @@ int main(int argc, char** argv) {
       exp::PrintCsv(os, *result);
     } else {
       exp::PrintThroughputTable(os, *result);
-      exp::PrintRecoveryReport(os, *result);
-      exp::PrintResizeReport(os, *result);
-      exp::PrintControlReport(os, *result);
     }
   });
   if (!emitted) return 1;
