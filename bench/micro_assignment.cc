@@ -1,13 +1,17 @@
 // Ablation of the processor-assignment heuristics: tiled latin-square
 // assignment vs naive round robin (distinct processors per slice — the
 // quantity that decides how many processors a MAGIC query touches), and the
-// cost of the section-4 hill-climbing rebalancer on correlated data.
+// cost of the section-4 hill-climbing rebalancer, on correlated data and on
+// the directory MAGIC builds for a 1M-tuple relation.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "src/decluster/assignment.h"
+#include "src/decluster/magic.h"
 #include "src/decluster/rebalance.h"
+#include "src/workload/mixes.h"
+#include "src/workload/wisconsin.h"
 
 namespace {
 
@@ -46,6 +50,46 @@ void BM_RebalanceDiagonal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RebalanceDiagonal)->Arg(32)->Arg(64);
+
+// The climb MAGIC runs at 1M tuples: the low-low directory of an
+// uncorrelated Wisconsin relation (249x249 cells), its tuple counts as cell
+// weights, and the tiled assignment from the plan's M_i over 32 nodes. The
+// argument is the restricted dimension (-1 = unrestricted), the two climbs
+// MAGIC tries.
+void BM_RebalanceMagicShape(benchmark::State& state) {
+  struct Shape {
+    std::vector<int> dims;
+    std::vector<int64_t> weights;
+    std::vector<int> tiled;
+  };
+  static const Shape shape = [] {
+    workload::WisconsinOptions o;
+    o.cardinality = 1'000'000;
+    o.seed = 7;
+    const storage::Relation rel = workload::MakeWisconsin(o);
+    decluster::MagicOptions opts;
+    opts.rebalance = false;
+    auto part = decluster::MagicPartitioning::Create(
+        rel, {0, 1},
+        workload::MakeMix(workload::ResourceClass::kLow,
+                          workload::ResourceClass::kLow),
+        32, opts);
+    const auto& magic = **part;
+    return Shape{magic.grid().directory().dims(), magic.cell_weights(),
+                 magic.cell_nodes()};
+  }();
+  const int restrict_to_dim = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto assignment = shape.tiled;
+    auto result = decluster::HillClimbRebalance(
+        shape.dims, shape.weights, 32, &assignment, 500, restrict_to_dim);
+    benchmark::DoNotOptimize(result.spread_after);
+  }
+}
+BENCHMARK(BM_RebalanceMagicShape)
+    ->Arg(0)
+    ->Arg(-1)
+    ->Unit(benchmark::kMillisecond);
 
 // Not a timing benchmark: prints the ablation table comparing tiled vs
 // round-robin assignment quality on the paper's directory shapes.

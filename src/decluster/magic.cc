@@ -50,18 +50,33 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   part->domain_hi_ = gopts.domain_hi;
   part->grid_ = std::make_unique<grid::GridFile>(k, gopts);
 
+  const int64_t n = relation.cardinality();
   std::vector<Value> point(static_cast<size_t>(k));
-  for (int64_t i = 0; i < relation.cardinality(); ++i) {
-    const auto rid = static_cast<RecordId>(i);
+  auto load_point = [&](RecordId rid) {
     for (int d = 0; d < k; ++d) {
       point[static_cast<size_t>(d)] =
           relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
     }
+  };
+  for (int64_t i = 0; i < n; ++i) {
+    const auto rid = static_cast<RecordId>(i);
+    load_point(rid);
     DECLUST_RETURN_NOT_OK(part->grid_->Insert(point, rid));
   }
 
+  // Each tuple's cell in the finished directory, computed once: it gives
+  // the cell weights (tuples per cell) now and the tuple's home below.
+  std::vector<int64_t> tuple_cell(static_cast<size_t>(n));
+  part->cell_weights_.assign(
+      static_cast<size_t>(part->grid_->directory().num_cells()), 0);
+  for (int64_t i = 0; i < n; ++i) {
+    load_point(static_cast<RecordId>(i));
+    const int64_t cell = part->grid_->CellOfPoint(point);
+    tuple_cell[static_cast<size_t>(i)] = cell;
+    ++part->cell_weights_[static_cast<size_t>(cell)];
+  }
+
   // Assignment of directory entries to processors.
-  part->cell_weights_ = part->grid_->CellHistogram();
   const std::vector<int>& dims = part->grid_->directory().dims();
   DECLUST_ASSIGN_OR_RETURN(
       part->cell_nodes_, TiledAssignment(dims, num_nodes, part->plan_.mi));
@@ -104,16 +119,10 @@ Result<std::unique_ptr<MagicPartitioning>> MagicPartitioning::Create(
   }
 
   // Final tuple placement follows the directory.
-  std::vector<int> home(static_cast<size_t>(relation.cardinality()));
-  for (int64_t i = 0; i < relation.cardinality(); ++i) {
-    const auto rid = static_cast<RecordId>(i);
-    for (int d = 0; d < k; ++d) {
-      point[static_cast<size_t>(d)] =
-          relation.value(rid, schema_attrs[static_cast<size_t>(d)]);
-    }
-    const int64_t cell = part->grid_->CellOfPoint(point);
-    home[static_cast<size_t>(i)] =
-        part->cell_nodes_[static_cast<size_t>(cell)];
+  std::vector<int> home(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    home[static_cast<size_t>(i)] = part->cell_nodes_[static_cast<size_t>(
+        tuple_cell[static_cast<size_t>(i)])];
   }
   part->SetAssignment(num_nodes, std::move(home));
   return part;

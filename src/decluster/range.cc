@@ -4,6 +4,8 @@
 #include <limits>
 #include <numeric>
 
+#include "src/storage/btree.h"
+
 namespace declust::decluster {
 
 Result<std::unique_ptr<RangePartitioning>> RangePartitioning::Create(
@@ -23,12 +25,19 @@ Result<std::unique_ptr<RangePartitioning>> RangePartitioning::Create(
 
   const int64_t n = relation.cardinality();
   // Sort records by the partitioning attribute and deal equal-cardinality
-  // chunks to the nodes, recording each chunk's upper bound.
-  std::vector<RecordId> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](RecordId a, RecordId b) {
-    return relation.value(a, attr) < relation.value(b, attr);
-  });
+  // chunks to the nodes, recording each chunk's upper bound. The entries
+  // carry their keys, so no comparison reads a row. Comparing keys only
+  // (never rids) keeps the order std::sort gives equal keys when sorting
+  // record ids by attribute value, so every home stays the same.
+  std::vector<storage::BTreeEntry> order(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const auto rid = static_cast<RecordId>(i);
+    order[static_cast<size_t>(i)] = {relation.value(rid, attr), rid};
+  }
+  std::sort(order.begin(), order.end(),
+            [](const storage::BTreeEntry& a, const storage::BTreeEntry& b) {
+              return a.key < b.key;
+            });
 
   auto part = std::unique_ptr<RangePartitioning>(new RangePartitioning());
   std::vector<int> home(static_cast<size_t>(n), 0);
@@ -37,11 +46,11 @@ Result<std::unique_ptr<RangePartitioning>> RangePartitioning::Create(
     const int64_t begin = n * node / num_nodes;
     const int64_t end = n * (node + 1) / num_nodes;
     for (int64_t i = begin; i < end; ++i) {
-      home[order[static_cast<size_t>(i)]] = node;
+      home[order[static_cast<size_t>(i)].rid] = node;
     }
     const int64_t last = std::max(begin, end - 1);
     part->upper_bounds_[static_cast<size_t>(node)] =
-        relation.value(order[static_cast<size_t>(last)], attr);
+        order[static_cast<size_t>(last)].key;
   }
   // Ensure the last bound covers the whole domain.
   part->upper_bounds_.back() = std::numeric_limits<Value>::max();

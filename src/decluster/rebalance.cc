@@ -77,6 +77,20 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
     }
   }
 
+  // Scratch reused by every iteration. `delta` holds one candidate swap's
+  // net load change per processor; `touched` lists the processors whose
+  // entry may be non-zero, so resetting costs O(lines), not O(num_nodes).
+  constexpr int kMaxCandidates = 48;
+  constexpr size_t kMaxPairs = 4096;
+  constexpr int kHeavyPerLine = 2;
+  constexpr int kLightPerLine = 4;
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<std::pair<int64_t, int>> heavy;  // (owner load, slice)
+  std::vector<std::pair<int64_t, int>> light;  // (load + weight, slice)
+  std::vector<int64_t> delta(static_cast<size_t>(num_nodes), 0);
+  std::vector<int> touched;
+  touched.reserve(static_cast<size_t>(num_nodes));
+
   int64_t potential = SumSquares(loads);
   while (result.swaps < max_swaps) {
     const Spread cur = FindSpread(loads);
@@ -85,7 +99,6 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
     // Best slice-pair swap by reduction of the pmax-pmin weight difference.
     // For large dimensions, restrict the search to the slices most involved
     // with the two extreme processors (keeps each iteration near-linear).
-    constexpr int kMaxCandidates = 48;
     int best_dim = -1, best_s1 = -1, best_s2 = -1;
     int64_t best_reduction = 0;
     for (int d = 0; d < k; ++d) {
@@ -99,17 +112,12 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
       // one, swapping those two slices is guaranteed to move weight from
       // pmax toward pmin (the paper's "switch two rows or two columns to
       // reduce the weight difference between these two processors").
-      std::vector<std::pair<int, int>> pairs;
+      pairs.clear();
       if (nd <= kMaxCandidates) {
         for (int s1 = 0; s1 < nd; ++s1) {
           for (int s2 = s1 + 1; s2 < nd; ++s2) pairs.emplace_back(s1, s2);
         }
       } else {
-        constexpr size_t kMaxPairs = 4096;
-        constexpr int kHeavyPerLine = 2;
-        constexpr int kLightPerLine = 4;
-        std::vector<std::pair<int64_t, int>> heavy;  // (owner load, slice)
-        std::vector<std::pair<int64_t, int>> light;  // (load + weight, slice)
         for (int64_t base : bases[du]) {
           // In this line: weight-bearing cells with the most-loaded owners,
           // paired against the cells whose owners (after receiving that
@@ -157,47 +165,43 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
         std::sort(pairs.begin(), pairs.end());
         pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
       }
-      // Scratch for per-processor load deltas of one candidate swap.
-      std::vector<std::pair<int, int64_t>> deltas;
       for (const auto& [s1, s2] : pairs) {
-        {
-          deltas.clear();
-          const int64_t off1 = s1 * stride[du];
-          const int64_t off2 = s2 * stride[du];
-          for (int64_t base : bases[du]) {
-            const auto c1 = static_cast<size_t>(base + off1);
-            const auto c2 = static_cast<size_t>(base + off2);
-            const int a1 = (*assignment)[c1];
-            const int a2 = (*assignment)[c2];
-            if (a1 == a2) continue;
-            const int64_t w1 = cell_weights[c1];
-            const int64_t w2 = cell_weights[c2];
-            if (w1 == w2) continue;
-            // After the swap, a1 owns c2's weight and a2 owns c1's.
-            deltas.emplace_back(a1, w2 - w1);
-            deltas.emplace_back(a2, w1 - w2);
-          }
-          if (deltas.empty()) continue;
-          // Net change of the sum-of-squares potential. Deltas for the same
-          // processor must be merged before squaring.
-          std::sort(deltas.begin(), deltas.end());
-          int64_t dpot = 0;
-          for (size_t i = 0; i < deltas.size();) {
-            const int p = deltas[i].first;
-            int64_t dp = 0;
-            for (; i < deltas.size() && deltas[i].first == p; ++i) {
-              dp += deltas[i].second;
-            }
-            const int64_t l = loads[static_cast<size_t>(p)];
-            dpot += dp * (2 * l + dp);
-          }
-          const int64_t reduction = -dpot;
-          if (reduction > best_reduction) {
-            best_reduction = reduction;
-            best_dim = d;
-            best_s1 = s1;
-            best_s2 = s2;
-          }
+        const int64_t off1 = s1 * stride[du];
+        const int64_t off2 = s2 * stride[du];
+        for (int64_t base : bases[du]) {
+          const auto c1 = static_cast<size_t>(base + off1);
+          const auto c2 = static_cast<size_t>(base + off2);
+          const int a1 = (*assignment)[c1];
+          const int a2 = (*assignment)[c2];
+          if (a1 == a2) continue;
+          const int64_t w1 = cell_weights[c1];
+          const int64_t w2 = cell_weights[c2];
+          if (w1 == w2) continue;
+          // After the swap, a1 owns c2's weight and a2 owns c1's.
+          int64_t& d1 = delta[static_cast<size_t>(a1)];
+          if (d1 == 0) touched.push_back(a1);
+          d1 += w2 - w1;
+          int64_t& d2 = delta[static_cast<size_t>(a2)];
+          if (d2 == 0) touched.push_back(a2);
+          d2 += w1 - w2;
+        }
+        // Net change of the sum-of-squares potential, over each touched
+        // processor's merged delta. Reading an entry resets it, so a
+        // processor listed twice (its delta passed through zero) adds
+        // nothing the second time.
+        int64_t dpot = 0;
+        for (int p : touched) {
+          const int64_t dp = delta[static_cast<size_t>(p)];
+          delta[static_cast<size_t>(p)] = 0;
+          dpot += dp * (2 * loads[static_cast<size_t>(p)] + dp);
+        }
+        touched.clear();
+        const int64_t reduction = -dpot;
+        if (reduction > best_reduction) {
+          best_reduction = reduction;
+          best_dim = d;
+          best_s1 = s1;
+          best_s2 = s2;
         }
       }
     }
@@ -244,33 +248,6 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
 
   result.spread_after = FindSpread(loads).gap;
   return result;
-}
-
-std::vector<int64_t> ObservedCellWeights(
-    const std::vector<int64_t>& tuple_weights,
-    const std::vector<int>& assignment,
-    const std::vector<int64_t>& fragment_accesses) {
-  std::vector<int64_t> out = tuple_weights;
-  bool any = false;
-  for (int64_t a : fragment_accesses) {
-    if (a > 0) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return out;
-  assert(assignment.size() == tuple_weights.size());
-  for (size_t c = 0; c < out.size(); ++c) {
-    const int frag = assignment[c];
-    // A fragment never observed in the window keeps weight 1 per tuple so
-    // its cells still count (it may simply have been idle, not empty).
-    const int64_t scale =
-        frag >= 0 && static_cast<size_t>(frag) < fragment_accesses.size()
-            ? std::max<int64_t>(1, fragment_accesses[static_cast<size_t>(frag)])
-            : 1;
-    out[c] *= scale;
-  }
-  return out;
 }
 
 }  // namespace declust::decluster

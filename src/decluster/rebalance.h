@@ -36,15 +36,4 @@ RebalanceResult HillClimbRebalance(const std::vector<int>& dims,
                                    int max_swaps = 10'000,
                                    int restrict_to_dim = -1);
 
-/// Folds observed per-fragment access counts (engine::Metrics slice
-/// counters) into static per-cell tuple weights: each cell's weight becomes
-/// tuples * accesses(assigned fragment), so a subsequent HillClimbRebalance
-/// equalizes *observed* load rather than static tuple counts. An empty or
-/// all-zero counter window returns the static weights unchanged, so the
-/// result is always a usable HillClimbRebalance input.
-std::vector<int64_t> ObservedCellWeights(
-    const std::vector<int64_t>& tuple_weights,
-    const std::vector<int>& assignment,
-    const std::vector<int64_t>& fragment_accesses);
-
 }  // namespace declust::decluster

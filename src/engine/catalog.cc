@@ -43,26 +43,26 @@ void FragmentStore::BuildIndexes(std::span<const RecordId> records,
                                  storage::AttrId attr_a,
                                  storage::AttrId attr_b,
                                  const CatalogOptions& opts) {
-  // Clustered order on B. The sorted order is scratch: once the indexes
-  // are bulk-loaded, positions (not record ids) are all the store needs.
-  std::vector<RecordId> by_b(records.begin(), records.end());
-  std::sort(by_b.begin(), by_b.end(), [&](RecordId x, RecordId y) {
-    return relation_->value(x, attr_b) < relation_->value(y, attr_b);
-  });
-
-  // Build both indexes over positions in clustered order.
-  std::vector<storage::BTreeEntry> b_entries(by_b.size());
-  std::vector<storage::BTreeEntry> a_entries(by_b.size());
-  for (size_t pos = 0; pos < by_b.size(); ++pos) {
-    b_entries[pos] = {relation_->value(by_b[pos], attr_b),
-                      static_cast<RecordId>(pos)};
-    a_entries[pos] = {relation_->value(by_b[pos], attr_a),
-                      static_cast<RecordId>(pos)};
+  const auto by_key = [](const storage::BTreeEntry& x,
+                         const storage::BTreeEntry& y) { return x.key < y.key; };
+  // Clustered order on B: (B value, record id) entries sorted on the key
+  // alone. No comparison reads a row, and equal keys keep the order
+  // std::sort gives when sorting the record ids by their B values.
+  std::vector<storage::BTreeEntry> b_entries(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    b_entries[i] = {relation_->value(records[i], attr_b), records[i]};
   }
-  std::sort(a_entries.begin(), a_entries.end(),
-            [](const storage::BTreeEntry& x, const storage::BTreeEntry& y) {
-              return x.key < y.key;
-            });
+  std::sort(b_entries.begin(), b_entries.end(), by_key);
+
+  // Build both indexes over positions in clustered order: once the indexes
+  // are bulk-loaded, positions (not record ids) are all the store needs.
+  std::vector<storage::BTreeEntry> a_entries(b_entries.size());
+  for (size_t pos = 0; pos < b_entries.size(); ++pos) {
+    a_entries[pos] = {relation_->value(b_entries[pos].rid, attr_a),
+                      static_cast<RecordId>(pos)};
+    b_entries[pos].rid = static_cast<RecordId>(pos);
+  }
+  std::sort(a_entries.begin(), a_entries.end(), by_key);
   clustered_b_ = std::make_shared<const storage::BPlusTree>(
       storage::BPlusTree::BulkLoad(std::move(b_entries), opts.index_fanout));
   nonclustered_a_ = std::make_shared<const storage::BPlusTree>(

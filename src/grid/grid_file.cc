@@ -24,35 +24,33 @@ GridFile::GridFile(int num_dims, GridFileOptions options)
   buckets_.push_back(std::move(root));
 }
 
-std::vector<int> GridFile::CoordsOf(const std::vector<Value>& point) const {
-  std::vector<int> coords(static_cast<size_t>(k_));
+int64_t GridFile::CellOf(const Value* point) const {
+  // Row-major over the directory, dimension 0 slowest (GridDirectory).
+  int64_t idx = 0;
   for (int d = 0; d < k_; ++d) {
-    coords[static_cast<size_t>(d)] =
-        scales_[static_cast<size_t>(d)].SliceOf(point[static_cast<size_t>(d)]);
+    idx = idx * dir_.size(d) + scales_[static_cast<size_t>(d)].SliceOf(point[d]);
   }
-  return coords;
+  return idx;
 }
 
-Status GridFile::Insert(std::vector<Value> point, RecordId rid) {
+Status GridFile::Insert(const std::vector<Value>& point, RecordId rid) {
   if (static_cast<int>(point.size()) != k_) {
     return Status::InvalidArgument("point arity != num_dims");
   }
-  const int b = dir_.bucket_at(CoordsOf(point));
-  buckets_[static_cast<size_t>(b)].entries.push_back(
-      GridEntry{std::move(point), rid});
+  const int b = dir_.bucket_at_index(CellOf(point.data()));
+  Bucket& bucket = buckets_[static_cast<size_t>(b)];
+  bucket.points.insert(bucket.points.end(), point.begin(), point.end());
+  bucket.rids.push_back(rid);
   ++size_;
 
   int cur = b;
-  while (static_cast<int>(buckets_[static_cast<size_t>(cur)].entries.size()) >
-         opts_.bucket_capacity) {
+  while (buckets_[static_cast<size_t>(cur)].size() > opts_.bucket_capacity) {
     if (!SplitBucket(cur)) break;  // degenerate: tolerate overflow
     // After a split the overflowing entries may sit in either half; re-check
     // both by locating the half that still overflows (if any).
-    const Bucket& bk = buckets_[static_cast<size_t>(cur)];
-    if (static_cast<int>(bk.entries.size()) <= opts_.bucket_capacity) {
+    if (buckets_[static_cast<size_t>(cur)].size() <= opts_.bucket_capacity) {
       const int nb = static_cast<int>(buckets_.size()) - 1;
-      if (static_cast<int>(buckets_[static_cast<size_t>(nb)].entries.size()) >
-          opts_.bucket_capacity) {
+      if (buckets_[static_cast<size_t>(nb)].size() > opts_.bucket_capacity) {
         cur = nb;
       } else {
         break;
@@ -109,15 +107,26 @@ void GridFile::RegionSplit(int b, int d) {
   upper.lo[du] = mid + 1;
   bucket.hi[du] = mid;
 
-  // Move entries whose slice along d falls in the upper half.
-  auto& entries = bucket.entries;
-  auto pivot = std::partition(
-      entries.begin(), entries.end(), [&](const GridEntry& e) {
-        return scales_[du].SliceOf(e.point[du]) <= mid;
-      });
-  upper.entries.assign(std::make_move_iterator(pivot),
-                       std::make_move_iterator(entries.end()));
-  entries.erase(pivot, entries.end());
+  // Move entries whose slice along d falls in the upper half; the lower
+  // ones are compacted in place. Both halves keep insertion order.
+  const auto ku = static_cast<size_t>(k_);
+  int kept = 0;
+  for (int i = 0; i < bucket.size(); ++i) {
+    const Value* p = PointOf(bucket, i);
+    const RecordId rid = bucket.rids[static_cast<size_t>(i)];
+    if (scales_[du].SliceOf(p[du]) <= mid) {
+      if (kept != i) {
+        std::copy(p, p + ku, bucket.points.begin() + kept * k_);
+        bucket.rids[static_cast<size_t>(kept)] = rid;
+      }
+      ++kept;
+    } else {
+      upper.points.insert(upper.points.end(), p, p + ku);
+      upper.rids.push_back(rid);
+    }
+  }
+  bucket.points.resize(static_cast<size_t>(kept) * ku);
+  bucket.rids.resize(static_cast<size_t>(kept));
 
   const int nb = static_cast<int>(buckets_.size());
   // Reassign directory cells in the upper box. NOTE: push_back may
@@ -160,9 +169,10 @@ int GridFile::TryAddCut(int b) {
         dir_.num_cells() / scales_[du].num_slices() *
         (scales_[du].num_slices() + 1);
     if (new_cells > opts_.max_cells) continue;
-    std::vector<Value> vals;
-    vals.reserve(bucket.entries.size());
-    for (const auto& e : bucket.entries) vals.push_back(e.point[du]);
+    std::vector<Value> vals(static_cast<size_t>(bucket.size()));
+    for (int i = 0; i < bucket.size(); ++i) {
+      vals[static_cast<size_t>(i)] = PointOf(bucket, i)[du];
+    }
     std::sort(vals.begin(), vals.end());
     if (vals.front() == vals.back()) continue;  // degenerate along d
     Value cut;
@@ -215,9 +225,13 @@ int GridFile::TryAddCut(int b) {
 std::vector<RecordId> GridFile::PointSearch(
     const std::vector<Value>& point) const {
   std::vector<RecordId> out;
-  const int b = dir_.bucket_at(CoordsOf(point));
-  for (const auto& e : buckets_[static_cast<size_t>(b)].entries) {
-    if (e.point == point) out.push_back(e.rid);
+  if (static_cast<int>(point.size()) != k_) return out;
+  const Bucket& bucket =
+      buckets_[static_cast<size_t>(dir_.bucket_at_index(CellOf(point.data())))];
+  for (int i = 0; i < bucket.size(); ++i) {
+    if (std::equal(point.begin(), point.end(), PointOf(bucket, i))) {
+      out.push_back(bucket.rids[static_cast<size_t>(i)]);
+    }
   }
   return out;
 }
@@ -251,11 +265,15 @@ std::vector<int64_t> GridFile::CellsOverlapping(
 }
 
 std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
-  const std::vector<int> coords = dir_.CellCoords(cell_index);
-  const int b = dir_.bucket_at_index(cell_index);
+  const Bucket& bucket =
+      buckets_[static_cast<size_t>(dir_.bucket_at_index(cell_index))];
   std::vector<GridEntry> out;
-  for (const auto& e : buckets_[static_cast<size_t>(b)].entries) {
-    if (CoordsOf(e.point) == coords) out.push_back(e);
+  for (int i = 0; i < bucket.size(); ++i) {
+    const Value* p = PointOf(bucket, i);
+    if (CellOf(p) == cell_index) {
+      out.push_back(GridEntry{std::vector<Value>(p, p + k_),
+                              bucket.rids[static_cast<size_t>(i)]});
+    }
   }
   return out;
 }
@@ -263,8 +281,8 @@ std::vector<GridEntry> GridFile::EntriesInCell(int64_t cell_index) const {
 std::vector<int64_t> GridFile::CellHistogram() const {
   std::vector<int64_t> hist(static_cast<size_t>(dir_.num_cells()), 0);
   for (const auto& bucket : buckets_) {
-    for (const auto& e : bucket.entries) {
-      ++hist[static_cast<size_t>(dir_.CellIndex(CoordsOf(e.point)))];
+    for (int i = 0; i < bucket.size(); ++i) {
+      ++hist[static_cast<size_t>(CellOf(PointOf(bucket, i)))];
     }
   }
   return hist;
@@ -302,12 +320,16 @@ Status GridFile::Validate() const {
     }
   }
   for (const auto& bk : buckets_) {
-    total += static_cast<int64_t>(bk.entries.size());
-    for (const auto& e : bk.entries) {
-      const auto coords = CoordsOf(e.point);
+    if (bk.points.size() != bk.rids.size() * static_cast<size_t>(k_)) {
+      return Status::Internal("bucket point and record arrays disagree");
+    }
+    total += bk.size();
+    for (int i = 0; i < bk.size(); ++i) {
+      const Value* p = PointOf(bk, i);
       for (int d = 0; d < k_; ++d) {
         const auto du = static_cast<size_t>(d);
-        if (coords[du] < bk.lo[du] || coords[du] > bk.hi[du]) {
+        const int slice = scales_[du].SliceOf(p[du]);
+        if (slice < bk.lo[du] || slice > bk.hi[du]) {
           return Status::Internal("entry outside its bucket's box");
         }
       }

@@ -20,7 +20,7 @@ namespace declust::grid {
 
 using storage::RecordId;
 
-/// \brief One stored (point, record) pair.
+/// \brief One stored (point, record) pair, as returned by EntriesInCell.
 struct GridEntry {
   std::vector<Value> point;
   RecordId rid;
@@ -76,14 +76,14 @@ class GridFile {
   int64_t size() const { return size_; }
 
   /// Inserts one point (arity must equal num_dims).
-  Status Insert(std::vector<Value> point, RecordId rid);
+  Status Insert(const std::vector<Value>& point, RecordId rid);
 
   /// Record ids matching the point exactly.
   std::vector<RecordId> PointSearch(const std::vector<Value>& point) const;
 
   /// Linear index of the directory cell containing `point`.
   int64_t CellOfPoint(const std::vector<Value>& point) const {
-    return dir_.CellIndex(CoordsOf(point));
+    return CellOf(point.data());
   }
 
   /// Linear cell indices overlapping the box [lo[d], hi[d]] (inclusive).
@@ -103,13 +103,22 @@ class GridFile {
   Status Validate() const;
 
  private:
+  // Entry i's point is points[i*k .. i*k+k) and its record rids[i], so a
+  // bucket costs two allocations however many entries it holds.
   struct Bucket {
-    std::vector<GridEntry> entries;
+    std::vector<Value> points;
+    std::vector<RecordId> rids;
     std::vector<int> lo;  // inclusive slice box, per dimension
     std::vector<int> hi;
+
+    int size() const { return static_cast<int>(rids.size()); }
   };
 
-  std::vector<int> CoordsOf(const std::vector<Value>& point) const;
+  // Linear index of the cell containing the k values at `point`.
+  int64_t CellOf(const Value* point) const;
+  const Value* PointOf(const Bucket& bucket, int i) const {
+    return bucket.points.data() + static_cast<size_t>(i) * k_;
+  }
   // Splits bucket b once (region split or new cut). Returns false when the
   // bucket is degenerate (identical points) and cannot be split.
   bool SplitBucket(int b);

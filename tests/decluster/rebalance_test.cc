@@ -122,51 +122,6 @@ TEST(RebalanceTest, OneDimensionalGrid) {
   EXPECT_EQ(result.spread_after, 0);
 }
 
-TEST(RebalanceTest, ObservedWeightsScaleByFragmentAccessCounts) {
-  // Cells 0,1 -> fragment 0; cells 2,3 -> fragment 1. Fragment 1 was read
-  // 5x as often, so its cells carry 5x the effective weight.
-  const std::vector<int64_t> tuples = {10, 20, 30, 40};
-  const std::vector<int> assignment = {0, 0, 1, 1};
-  const std::vector<int64_t> accesses = {2, 10};
-  const auto w = ObservedCellWeights(tuples, assignment, accesses);
-  EXPECT_EQ(w, (std::vector<int64_t>{20, 40, 300, 400}));
-}
-
-TEST(RebalanceTest, ObservedWeightsFallBackOnEmptyOrIdleWindows) {
-  const std::vector<int64_t> tuples = {10, 20, 30, 40};
-  const std::vector<int> assignment = {0, 0, 1, 1};
-  // No counters at all and an all-zero window both leave the static
-  // weights unchanged — the result must stay a usable rebalance input.
-  EXPECT_EQ(ObservedCellWeights(tuples, assignment, {}), tuples);
-  EXPECT_EQ(ObservedCellWeights(tuples, assignment, {0, 0}), tuples);
-  // An idle (zero-count) fragment in an otherwise active window keeps
-  // weight 1 per tuple; out-of-range fragment ids scale by 1 too.
-  const auto w = ObservedCellWeights(tuples, {0, 0, 1, 7}, {0, 3});
-  EXPECT_EQ(w, (std::vector<int64_t>{10, 20, 90, 40}));
-}
-
-TEST(RebalanceTest, ObservedWeightsSteerTheClimbTowardHotFragments) {
-  // Statically balanced 1-D grid (equal tuples everywhere) that the access
-  // window reveals as skewed: the hot fragment's cells all live on node 0.
-  const std::vector<int> dims = {4};
-  const std::vector<int64_t> tuples = {100, 100, 100, 100};
-  std::vector<int> assignment = {0, 0, 1, 1};
-  const std::vector<int64_t> accesses = {9, 1};
-  // Static weights see nothing to do...
-  std::vector<int> untouched = assignment;
-  EXPECT_EQ(HillClimbRebalance(dims, tuples, 2, &untouched).swaps, 0);
-  // ...observed weights split the hot pair across the nodes.
-  const auto w = ObservedCellWeights(tuples, assignment, accesses);
-  auto result = HillClimbRebalance(dims, w, 2, &assignment);
-  EXPECT_GT(result.swaps, 0);
-  EXPECT_LT(result.spread_after, result.spread_before);
-  std::vector<int64_t> loads(2, 0);
-  for (size_t c = 0; c < assignment.size(); ++c) {
-    loads[static_cast<size_t>(assignment[c])] += w[c];
-  }
-  EXPECT_EQ(loads[0], loads[1]);
-}
-
 TEST(RebalanceTest, LargeDimensionClimbIsDeterministic) {
   // Above kMaxCandidates the climb samples targeted slice pairs; ties on
   // owner load must break on slice id so repeated runs pick identical

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Sanitizer gate for the robustness subsystems: builds the repo under
 # AddressSanitizer and UndefinedBehaviorSanitizer and runs every test
-# labeled faults, audit, recovery, resize, open, control or catalog under
-# each. The fault-injection, invariant-audit, online-recovery,
+# labeled faults, audit, recovery, resize, open, control, catalog or setup
+# under each. The fault-injection, invariant-audit, online-recovery,
 # elastic-membership, open-system and closed-loop-control code paths are
 # exactly the ones that exercise coroutine lifetimes, signal-driven
 # interrupts and background I/O racing foreground queries — the bugs
-# sanitizers exist to catch.
+# sanitizers exist to catch. The setup label (grid_test, decluster_test)
+# covers the grid file's flat bucket arrays and the rebalancer's delta
+# array, whose index arithmetic is where an out-of-bounds write would hide.
 #
 # A third pass builds under ThreadSanitizer and runs the resize, open,
 # control and catalog labels, whose *AcrossJobCounts and concurrent-reader
@@ -63,13 +65,13 @@ run_preset() {
 # the threaded catalog-build pass under the sanitizer (the 1,024-node
 # Release-only test self-skips there and runs in the relsmoke tree below).
 run_preset asan DECLUST_ASAN \
-  'faults|audit|recovery|resize|open|control|catalog|scale' \
+  'faults|audit|recovery|resize|open|control|catalog|scale|setup' \
   fault_test audit_test recovery_test resize_test open_test control_test \
-  catalog_share_test scale_test
+  catalog_share_test scale_test grid_test decluster_test
 run_preset ubsan DECLUST_UBSAN \
-  'faults|audit|recovery|resize|open|control|catalog' \
+  'faults|audit|recovery|resize|open|control|catalog|setup' \
   fault_test audit_test recovery_test resize_test open_test control_test \
-  catalog_share_test
+  catalog_share_test grid_test decluster_test
 # The --jobs worker pool is the only place the simulator runs on more than
 # one thread; TSAN over the resize/open/control/catalog labels is the race
 # gate for it (their *AcrossJobCounts tests run concurrent replications with
